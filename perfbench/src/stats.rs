@@ -213,11 +213,13 @@ pub fn latency_ns(due: u64, done: u64) -> u64 {
     done.saturating_sub(due)
 }
 
-/// How late the generator itself sent a request: the time past the moment
-/// it could have sent, which is the later of its due time and the moment
-/// the connection had room for it. Waiting for the server is not lag.
-pub fn gen_lag_ns(due: u64, room: u64, sent: u64) -> u64 {
-    sent.saturating_sub(due.max(room))
+/// How late the generator itself sent a request: the time from its due
+/// time to its write. A request held back because the sender's pipeline
+/// window was full also counts as lag; the window (512 requests) fills
+/// only when the tier falls that far behind a fixed rate, and then its
+/// backlog grows and the run is invalid either way.
+pub fn gen_lag_ns(due: u64, sent: u64) -> u64 {
+    sent.saturating_sub(due)
 }
 
 /// Whether latencies (in send order) show a growing backlog: the median of
@@ -378,13 +380,13 @@ mod tests {
     fn latency_and_lag_arithmetic() {
         // On time: due 2 ms, sent 2.05 ms, done 2.3 ms.
         assert_eq!(latency_ns(2_000_000, 2_300_000), 300_000);
-        assert_eq!(gen_lag_ns(2_000_000, 0, 2_050_000), 50_000);
-        // A request that could only go out once the window had room at
-        // 5 ms, due at 4 ms and sent at 5.01 ms: the 1 ms wait is latency
-        // (from due), and only the 10 us after the room opened is
-        // generator lag.
-        assert_eq!(gen_lag_ns(4_000_000, 5_000_000, 5_010_000), 10_000);
-        assert_eq!(latency_ns(4_000_000, 5_200_000), 1_200_000);
+        assert_eq!(gen_lag_ns(2_000_000, 2_050_000), 50_000);
+        // Due at 4 ms, sent at 5.01 ms, done at 5.2 ms: latency from due
+        // is lag plus round trip.
+        assert_eq!(gen_lag_ns(4_000_000, 5_010_000), 1_010_000);
+        assert_eq!(latency_ns(4_000_000, 5_200_000), 1_010_000 + 190_000);
+        // A write the clock reads as before its due time is not late.
+        assert_eq!(gen_lag_ns(4_000_000, 3_999_000), 0);
         // A reply that lands before the due time costs nothing.
         assert_eq!(latency_ns(4_000_000, 3_000_000), 0);
     }
