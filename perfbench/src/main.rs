@@ -1,6 +1,7 @@
-//! The repository's benchmark: four workloads over the paper pipeline and
-//! the serving tier, with named end-to-end metrics (untraced run) and
-//! per-layer metrics (traced run).
+//! The repository's benchmark: three gated workloads over the paper
+//! pipeline and the serving tier, plus one ungated (`serve_direct`), with
+//! named end-to-end metrics (untraced run) and per-layer metrics (traced
+//! run).
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
@@ -92,7 +93,13 @@ pub const PER_LAYER: [(&str, &str); 55] = [
 ];
 
 /// The workloads, in `BENCHMARK.json` order.
-pub const WORKLOADS: [&str; 4] = ["ad_pipeline", "ed_explain", "serve_direct", "serve_routed"];
+pub const WORKLOADS: [&str; 3] = ["ad_pipeline", "ed_explain", "serve_routed"];
+/// Runnable, but not declared in `BENCHMARK.json`, so no change is judged
+/// on it: on a shared 2-vCPU virtual machine its figures moved 13–133%
+/// (quartile distance over median) between sets of runs of the same code,
+/// above the largest bound a metric may carry. Its microsecond latencies
+/// ride on how fast the host wakes the tier's idle virtual CPU.
+pub const UNGATED: [&str; 1] = ["serve_direct"];
 
 // ------------------------------------------------------ counting allocator
 
@@ -176,8 +183,8 @@ fn parse_args() -> Result<Args, String> {
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    if !WORKLOADS.contains(&args.workload.as_str()) {
-        return Err(format!("--workload must be one of {WORKLOADS:?}"));
+    if !WORKLOADS.iter().chain(&UNGATED).any(|w| *w == args.workload) {
+        return Err(format!("--workload must be one of {WORKLOADS:?} or {UNGATED:?}"));
     }
     if args.seconds.is_nan() || args.seconds <= 0.0 {
         return Err("--seconds must be positive".into());
@@ -307,7 +314,7 @@ fn main() {
             eprintln!("perfbench: {e}");
             eprintln!(
                 "usage: perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1>",
-                WORKLOADS.join("|")
+                [&WORKLOADS[..], &UNGATED].concat().join("|")
             );
             std::process::exit(2);
         }
