@@ -966,8 +966,10 @@ fn main() {
     let scaling = routed_rps / direct_rps;
 
     // Router hop cost: one solo client on an unloaded EWMA tenant, p50
-    // routed vs p50 direct over interleaved trials; the min across
-    // trials rejects scheduler noise (the floor is the mechanism).
+    // routed vs p50 direct over interleaved trials. The gate reads the
+    // median trial: the minimum of differences of noisy medians favours
+    // low outliers, and a hop cannot make a request faster, so a median
+    // at or below zero is a measurement error, not a pass.
     let (ov_warm, ov_measured, ov_trials) = if quick { (64, 192, 3) } else { (128, 384, 3) };
     let probe_records: Vec<Vec<f64>> = {
         let series = &tests[0].series;
@@ -1003,7 +1005,7 @@ fn main() {
     let (mut rl, mut dl) = (Vec::new(), Vec::new());
     timed_singles(&mut dclient, &dpath, &mut direct_probe, ov_warm, &mut body, &mut dl);
     timed_singles(&mut rclient, &rpath, &mut routed_probe, ov_warm, &mut body, &mut rl);
-    let mut best: Option<(u64, u64, i64)> = None;
+    let mut trials: Vec<(u64, u64, i64)> = Vec::with_capacity(ov_trials);
     for _ in 0..ov_trials {
         dl.clear();
         rl.clear();
@@ -1012,12 +1014,15 @@ fn main() {
         dl.sort_unstable();
         rl.sort_unstable();
         let (d, r) = (percentile(&dl, 0.50), percentile(&rl, 0.50));
-        let overhead = r as i64 - d as i64;
-        if best.is_none_or(|(_, _, b)| overhead < b) {
-            best = Some((d, r, overhead));
-        }
+        trials.push((d, r, r as i64 - d as i64));
     }
-    let (direct_p50, routed_p50, overhead_ns) = best.expect("overhead trials");
+    trials.sort_unstable_by_key(|t| t.2);
+    let (direct_p50, routed_p50, overhead_ns) = trials[trials.len() / 2];
+    assert!(
+        overhead_ns > 0,
+        "router hop overhead {overhead_ns}ns p50 is not positive: measurement error \
+         (routed {routed_p50}ns vs direct {direct_p50}ns)"
+    );
     assert!(
         overhead_ns <= 25_000,
         "router hop overhead {overhead_ns}ns p50 exceeds the 25us budget \

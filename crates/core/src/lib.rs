@@ -45,6 +45,7 @@ pub mod edrun;
 pub mod evaluate;
 pub mod experiment;
 pub mod model;
+mod netloop;
 pub mod obs;
 pub mod par;
 pub mod partition;

@@ -37,9 +37,11 @@
 //! status line tokenizes like a request line, with the status code
 //! landing in the `path` span.
 //!
-//! Workers reuse the gatekeeper's striped nonblocking model (one
-//! acceptor round-robins sockets over bounded per-worker queues; each
-//! worker multiplexes its connections without locks). In-flight
+//! Workers run on the `poll(2)` connection loop the gatekeeper shares
+//! (`crate::netloop`): one acceptor round-robins sockets over bounded
+//! per-worker queues, and each worker multiplexes its client
+//! connections and their in-flight upstream sockets without locks,
+//! sleeping in `poll` while none of them needs it. In-flight
 //! requests are bounded per backend; past the bound the router sheds
 //! with `503` + `Retry-After` instead of queueing. A request that dies
 //! on a stale pooled connection — the backend's idle timeout closes the
@@ -67,22 +69,22 @@
 //! owner fails that key's migration loudly, it does not wedge the ring.
 
 use crate::checkpoint::is_image;
+use crate::netloop::{self, Conn, Exchange, Handler, LoopConfig, Server, Step};
+use crate::netloop::{MAX_HEAD_BYTES, POLLIN, POLLOUT};
 use crate::registry::key_hash;
-use crate::serve::{accept_striped, alloc_probe};
-use crate::wire::{self, HeadParse};
+use crate::serve::alloc_probe;
+use crate::wire::{self, Head, HeadParse};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ffi::c_short;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Largest accepted head block, both directions.
-const MAX_HEAD_BYTES: usize = 64 << 10;
 /// Initial upstream response buffer (grows by doubling for big bodies).
 const UPSTREAM_BUF: usize = 16 << 10;
 /// Idle upstream connections pooled per backend, per worker.
@@ -314,21 +316,9 @@ impl RouterShared {
 /// A running router. Dropping it (or calling [`Router::shutdown`]) stops
 /// the acceptor and joins every worker.
 pub struct Router {
-    addr: SocketAddr,
     shared: Arc<RouterShared>,
     vnodes: u16,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-#[derive(Clone, Copy)]
-struct WorkerCfg {
-    read_timeout: Duration,
-    upstream_timeout: Duration,
-    max_conns: usize,
-    max_inflight: u64,
-    max_body_bytes: usize,
+    server: Server,
 }
 
 impl Router {
@@ -352,7 +342,6 @@ impl Router {
             }
         }
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let nodes: Vec<Arc<BackendNode>> = backends
             .iter()
             .map(|(label, addr)| {
@@ -371,50 +360,42 @@ impl Router {
             keys: Mutex::new(HashMap::new()),
             stats: RouterCounters::default(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let probe = alloc_probe();
-        let wcfg = WorkerCfg {
+        let cfg = LoopConfig {
             read_timeout: config.read_timeout,
-            upstream_timeout: config.upstream_timeout,
             max_conns: config.max_conns_per_worker.max(1),
-            max_inflight: config.max_inflight_per_backend,
             max_body_bytes: config.max_body_bytes,
         };
-
-        let mut txs = Vec::new();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
-                txs.push(tx);
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("rt-worker-{i}"))
-                    .spawn(move || worker_loop(rx, &shared, &stop, wcfg, probe))
-                    .expect("spawn router worker")
-            })
-            .collect();
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rt-acceptor".into())
-                .spawn(move || {
-                    accept_striped(listener, txs, &stop, &|| {
-                        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::counter("route.rejected", 1);
-                    })
-                })
-                .expect("spawn router acceptor")
+        let proxy = || Proxy {
+            shared: Arc::clone(&shared),
+            ring: Ring::default(),
+            backends: Vec::new(),
+            generation: 0,
+            pools: Pools { by_addr: Vec::new() },
+            body: String::new(),
+            probe,
+            upstream_timeout: config.upstream_timeout,
+            max_inflight: config.max_inflight_per_backend,
         };
-
-        Ok(Self { addr: local, shared, vnodes, stop, acceptor: Some(acceptor), workers })
+        let shed = Arc::clone(&shared);
+        let server = Server::start(
+            listener,
+            "rt",
+            config.workers,
+            config.accept_queue,
+            cfg,
+            proxy,
+            move || {
+                shed.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                crate::obs::counter("route.rejected", 1);
+            },
+        )?;
+        Ok(Self { shared, vnodes, server })
     }
 
     /// The bound client-facing address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Router counters.
@@ -519,27 +500,8 @@ impl Router {
     }
 
     /// Stop accepting, close striped connections, join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.stop_threads();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -575,10 +537,11 @@ fn http_once(
     match wire::parse_head(&raw, MAX_HEAD_BYTES) {
         HeadParse::Complete(head) => {
             let status = response_status(&raw, head.path).ok_or("unparseable status line")?;
-            let end = head.head_len + head.content_length;
-            if raw.len() < end {
-                return Err("truncated response body".to_string());
-            }
+            let end = head
+                .head_len
+                .checked_add(head.content_length)
+                .filter(|&end| end <= raw.len())
+                .ok_or("truncated response body")?;
             Ok((status, raw[head.head_len..end].to_vec()))
         }
         _ => Err("unparseable response head".to_string()),
@@ -621,7 +584,7 @@ fn migrate_key(
     Ok(true)
 }
 
-// ----------------------------------------------------------- worker loop
+// ----------------------------------------------------------------- worker
 
 /// One pooled upstream connection and its reused response buffer.
 struct Upstream {
@@ -629,6 +592,16 @@ struct Upstream {
     /// Response storage: fixed-length window (`vec![0; n]`), filled by
     /// reads and indexed by the in-flight exchange's `resp_len`.
     buf: Vec<u8>,
+}
+
+/// A claimed in-flight slot on a backend; dropping it frees the slot, so
+/// every way an exchange ends (done, failed, client gone) releases it.
+struct Claim(Arc<BackendNode>);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Where a completed proxied exchange reports to the key table.
@@ -651,7 +624,7 @@ struct RespHead {
 
 /// One proxied exchange in flight on a client connection.
 struct Inflight {
-    backend: Arc<BackendNode>,
+    claim: Claim,
     upstream: TcpStream,
     buf: Vec<u8>,
     /// Response bytes received into `buf`.
@@ -663,7 +636,8 @@ struct Inflight {
     head: Option<RespHead>,
     /// Response bytes already relayed to the client.
     relayed: usize,
-    started: Instant,
+    /// Past this the client gets `502`.
+    deadline: Option<Instant>,
     /// Came off the idle pool (eligible for the stale-connection retry).
     pooled: bool,
     retried: bool,
@@ -678,27 +652,22 @@ struct Inflight {
     client_keep_alive: bool,
 }
 
-/// One multiplexed client connection.
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    /// Router-local responses (healthz, stats, 404/502/503). Proxied
-    /// responses bypass it — they relay straight from the upstream
-    /// buffer — so the worker always flushes `outbuf` fully before
-    /// relaying, keeping response order equal to request order.
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    last_active: Instant,
-    close_after_flush: bool,
-    inflight: Option<Inflight>,
-}
+impl Exchange for Inflight {
+    fn waits_on(&self) -> Option<(RawFd, c_short)> {
+        let fd = self.upstream.as_raw_fd();
+        if self.req_sent < self.req_total {
+            return Some((fd, POLLOUT));
+        }
+        match self.head {
+            // The client would block with response bytes still to relay.
+            Some(h) if self.relayed < self.resp_len.min(h.total) => None,
+            _ => Some((fd, POLLIN)),
+        }
+    }
 
-/// Per-worker reusable workspaces.
-struct Scratch {
-    /// Client socket read staging.
-    tmp: Vec<u8>,
-    /// Local response body staging.
-    body: String,
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
 }
 
 struct Pools {
@@ -716,254 +685,93 @@ impl Pools {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<TcpStream>,
-    shared: &RouterShared,
-    stop: &AtomicBool,
-    cfg: WorkerCfg,
+/// One router worker: answers router-local routes inline and proxies
+/// keyed routes as exchanges on the shared connection loop (at most one
+/// in flight per client connection — HTTP/1.1 responses are ordered
+/// anyway).
+struct Proxy {
+    shared: Arc<RouterShared>,
+    /// Lock-free local copy of the ring and its backends.
+    ring: Ring,
+    backends: Vec<Arc<BackendNode>>,
+    generation: u64,
+    pools: Pools,
+    /// Local response body staging.
+    body: String,
     probe: Option<fn() -> u64>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut buf_pool: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut pools = Pools { by_addr: Vec::new() };
-    let mut scratch = Scratch { tmp: vec![0u8; 64 << 10], body: String::new() };
-    let mut ring = Ring::default();
-    let mut backends: Vec<Arc<BackendNode>> = Vec::new();
-    let mut generation = 0u64;
-    let mut idle_spins = 0u32;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        while conns.len() < cfg.max_conns {
-            match rx.try_recv() {
-                Ok(s) => conns.push(admit(s, &mut buf_pool)),
-                Err(_) => break,
-            }
-        }
-        if conns.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(s) => conns.push(admit(s, &mut buf_pool)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Refresh the lock-free local ring copy when the ring changed
-        // (the lock is only ever taken here and on rebalances). This
-        // sits *after* the admit block: a rebalance that completed while
-        // this worker was parked in `recv_timeout` must be visible
-        // before any connection admitted afterwards is dispatched, else
-        // a migrated key would route to its old (already-drained) owner.
-        let g = shared.generation.load(Ordering::Acquire);
-        if g != generation {
-            let st = shared.state.lock();
-            ring = st.ring.clone();
-            backends = st.backends.clone();
-            generation = g;
-        }
-        let now = Instant::now();
-        let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match poll_conn(
-                &mut conns[i],
-                shared,
-                &ring,
-                &backends,
-                &mut pools,
-                &mut scratch,
-                now,
-                cfg,
-                probe,
-            ) {
-                Poll::Keep(p) => {
-                    progressed |= p;
-                    i += 1;
-                }
-                Poll::Close => {
-                    let mut c = conns.swap_remove(i);
-                    if let Some(f) = c.inflight.take() {
-                        abort_inflight(f);
-                    }
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    buf_pool.push((c.inbuf, c.outbuf));
-                    progressed = true;
-                }
-            }
-        }
-        // Same single-core-friendly backoff as the gatekeeper workers.
-        if progressed {
-            idle_spins = 0;
-        } else {
-            idle_spins += 1;
-            if idle_spins <= 16 {
-                std::thread::yield_now();
-            } else {
-                let us = (100u64 << (idle_spins - 16).min(5)).min(2_000);
-                std::thread::sleep(Duration::from_micros(us));
-            }
-        }
-    }
+    upstream_timeout: Duration,
+    max_inflight: u64,
 }
 
-fn admit(stream: TcpStream, pool: &mut Vec<(Vec<u8>, Vec<u8>)>) -> Conn {
-    let (mut inbuf, mut outbuf) = pool.pop().unwrap_or_default();
-    inbuf.clear();
-    outbuf.clear();
-    Conn {
-        stream,
-        inbuf,
-        outbuf,
-        out_pos: 0,
-        last_active: Instant::now(),
-        close_after_flush: false,
-        inflight: None,
-    }
-}
+impl Handler for Proxy {
+    type Exchange = Inflight;
 
-/// Release an in-flight exchange without completing it (client closed or
-/// timed out): free the backend slot, drop the upstream connection.
-fn abort_inflight(f: Inflight) {
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-}
-
-enum Poll {
-    Keep(bool),
-    Close,
-}
-
-enum Flush {
-    Progress(bool),
-    Closed,
-}
-
-fn flush_out(conn: &mut Conn, now: Instant) -> Flush {
-    let mut progressed = false;
-    while conn.out_pos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => return Flush::Closed,
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_active = now;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Flush::Closed,
-        }
-    }
-    if conn.out_pos == conn.outbuf.len() && conn.out_pos > 0 {
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-    }
-    Flush::Progress(progressed)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn poll_conn(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Poll {
-    let mut progressed = false;
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
-    }
-
-    // Service the in-flight exchange first; local responses staged
-    // before it must be fully on the wire before its bytes relay.
-    if conn.inflight.is_some() && conn.out_pos == conn.outbuf.len() {
-        match service_inflight(conn, shared, pools, scratch, now, cfg, probe) {
-            Service::Closed => return Poll::Close,
-            Service::Progress(p) => progressed |= p,
+    fn turn(&mut self) {
+        // Refresh the local ring copy when the ring changed (the lock is
+        // only ever taken here and on rebalances). The loop calls this
+        // after every wake, before any connection is serviced: a
+        // rebalance that completed before a request arrived must be
+        // visible when it is dispatched, else a migrated key would route
+        // to its old (already-drained) owner.
+        let g = self.shared.generation.load(Ordering::Acquire);
+        if g != self.generation {
+            let st = self.shared.state.lock();
+            self.ring = st.ring.clone();
+            self.backends = st.backends.clone();
+            self.generation = g;
         }
     }
 
-    if conn.inflight.is_none() && !conn.close_after_flush {
-        match read_and_dispatch(conn, shared, ring, backends, pools, scratch, now, cfg, probe) {
-            Service::Closed => return Poll::Close,
-            Service::Progress(p) => progressed |= p,
+    fn request(
+        &mut self,
+        frame: &[u8],
+        head: &Head,
+        out: &mut Vec<u8>,
+        now: Instant,
+    ) -> Option<Inflight> {
+        let allocs_before = self.probe.map_or(0, |p| p());
+        let Some((hash, owner)) = plan_proxy(frame, head, &self.ring) else {
+            handle_local(&self.shared, &mut self.body, out, frame, head);
+            return None;
+        };
+        let mut f = self.dispatch(frame, head, hash, owner, out, now)?;
+        if let (true, Some(p)) = (f.metered, self.probe) {
+            f.allocs += p() - allocs_before;
         }
-        // A freshly dispatched exchange gets driven in the same poll so
-        // the request reaches the backend without waiting a loop turn.
-        if conn.inflight.is_some() && conn.out_pos == conn.outbuf.len() {
-            match service_inflight(conn, shared, pools, scratch, now, cfg, probe) {
-                Service::Closed => return Poll::Close,
-                Service::Progress(p) => progressed |= p,
-            }
-        }
+        Some(f)
     }
 
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
-    }
-    if conn.close_after_flush && conn.inflight.is_none() && conn.out_pos == conn.outbuf.len() {
-        return Poll::Close;
-    }
-    if now.duration_since(conn.last_active) > cfg.read_timeout && conn.inflight.is_none() {
-        return Poll::Close;
-    }
-    Poll::Keep(progressed)
-}
-
-enum Service {
-    Progress(bool),
-    Closed,
-}
-
-/// Drive the in-flight exchange: forward request bytes, accumulate the
-/// response, relay it, then finalize (pooling, key tracking, counters).
-/// Handles the stale-pool retry and upstream timeout.
-fn service_inflight(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Service {
-    let f = conn.inflight.as_mut().expect("caller checked inflight");
-    let before = (f.req_sent, f.resp_len, f.relayed);
-    loop {
-        let metered = f.metered;
-        let allocs_before = if metered { probe.map(|p| p()).unwrap_or(0) } else { 0 };
-        let outcome = drive(&mut conn.stream, &conn.inbuf, f, now);
-        if metered {
-            if let Some(p) = probe {
+    /// Drive the exchange: forward request bytes, accumulate the
+    /// response, relay it, then finalize (pooling, key tracking,
+    /// counters). Handles the stale-pool retry and upstream timeout.
+    fn progress(
+        &mut self,
+        mut f: Inflight,
+        conn: &mut Conn<Inflight>,
+        now: Instant,
+    ) -> Step<Inflight> {
+        loop {
+            let metered = f.metered;
+            let allocs_before = if metered { self.probe.map_or(0, |p| p()) } else { 0 };
+            let outcome = drive(&mut conn.stream, &conn.inbuf, &mut f);
+            if let (true, Some(p)) = (metered, self.probe) {
                 f.allocs += p() - allocs_before;
             }
-        }
-        match outcome {
-            Drive::Pending => {
-                if now.duration_since(f.started) > cfg.upstream_timeout {
-                    let f = conn.inflight.take().expect("present");
-                    fail_exchange(conn, shared, scratch, f, "upstream timed out");
+            let msg = match outcome {
+                Drive::Pending if f.deadline.is_some_and(|d| now > d) => "upstream timed out",
+                Drive::Pending => return Step::Pending(f),
+                Drive::Done => {
+                    self.finish(conn, f);
+                    return Step::Ended;
                 }
-                break;
-            }
-            Drive::Done => {
-                let f = conn.inflight.take().expect("present");
-                finish_exchange(conn, shared, pools, f);
-                break;
-            }
-            Drive::ClientGone => return Service::Closed,
-            Drive::UpstreamGone => {
+                Drive::ClientGone => return Step::ClientGone,
                 // A pooled connection the backend's idle timeout already
                 // closed looks exactly like this: dead before a single
                 // response byte. Retrying on a fresh connection is safe
                 // then — and only then (a replay after bytes arrived
                 // could double-ingest a record).
-                if f.pooled && !f.retried && f.resp_len == 0 {
-                    match connect_upstream(f.backend.addr) {
+                Drive::UpstreamGone if f.pooled && !f.retried && f.resp_len == 0 => {
+                    match connect_upstream(f.claim.0.addr) {
                         Ok(stream) => {
                             f.upstream = stream;
                             f.req_sent = 0;
@@ -973,36 +781,162 @@ fn service_inflight(
                             // exchange; keep it out of the warmed-path
                             // allocation meter.
                             f.metered = false;
-                            shared.stats.retries.fetch_add(1, Ordering::Relaxed);
+                            self.shared.stats.retries.fetch_add(1, Ordering::Relaxed);
                             crate::obs::counter("route.retries", 1);
                             continue;
                         }
-                        Err(_) => {
-                            let f = conn.inflight.take().expect("present");
-                            fail_exchange(conn, shared, scratch, f, "upstream unavailable");
-                            break;
-                        }
+                        Err(_) => "upstream unavailable",
                     }
                 }
-                let msg = if f.resp_len == 0 {
-                    "upstream unavailable"
-                } else {
-                    "upstream sent a malformed response"
-                };
-                let f = conn.inflight.take().expect("present");
-                fail_exchange(conn, shared, scratch, f, msg);
-                break;
-            }
+                Drive::UpstreamGone if f.resp_len == 0 => "upstream unavailable",
+                Drive::UpstreamGone => "upstream sent a malformed response",
+            };
+            self.fail(conn, f, msg);
+            return Step::Ended;
         }
     }
-    let progressed = match conn.inflight.as_ref() {
-        Some(f) => (f.req_sent, f.resp_len, f.relayed) != before,
-        None => true,
-    };
-    if progressed {
-        conn.last_active = now;
+}
+
+impl Proxy {
+    /// Stage a keyed request onto its owning backend, or answer it
+    /// locally (`None`) when the backend is saturated or unreachable.
+    fn dispatch(
+        &mut self,
+        frame: &[u8],
+        head: &Head,
+        hash: u64,
+        owner: u16,
+        out: &mut Vec<u8>,
+        now: Instant,
+    ) -> Option<Inflight> {
+        let backend = &self.backends[owner as usize];
+        if backend.in_flight.load(Ordering::Acquire) >= self.max_inflight {
+            // Saturated: shed with the same bytes the accept tier uses.
+            self.body.clear();
+            wire::write_error_body(&mut self.body, "backend saturated");
+            wire::write_head_retry(
+                out,
+                503,
+                "application/json",
+                self.body.len(),
+                head.keep_alive,
+                1,
+            );
+            out.extend_from_slice(self.body.as_bytes());
+            self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+            crate::obs::counter("route.shed", 1);
+            return None;
+        }
+        backend.in_flight.fetch_add(1, Ordering::AcqRel);
+        let claim = Claim(Arc::clone(backend));
+        let (upstream, pooled) = match self.pools.bucket(claim.0.addr).pop() {
+            Some(u) => (u, true),
+            None => match connect_upstream(claim.0.addr) {
+                Ok(stream) => (Upstream { stream, buf: vec![0u8; UPSTREAM_BUF] }, false),
+                Err(_) => {
+                    self.shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
+                    crate::obs::counter("route.upstream_errors", 1);
+                    let msg = "upstream unavailable";
+                    netloop::stage_error(&mut self.body, out, 502, msg, head.keep_alive);
+                    return None;
+                }
+            },
+        };
+        let method = &frame[head.method.0..head.method.1];
+        let path = &frame[head.path.0..head.path.1];
+        let track = match method {
+            b"PUT" if path.starts_with(b"/v1/profile/") => Track::Insert,
+            b"DELETE" if path.starts_with(b"/v1/profile/") => Track::Remove,
+            _ => Track::None,
+        };
+        // Only pooled exchanges are metered: a pool miss pays a cold
+        // connect + buffer setup, which is lazy warmup, not the warmed
+        // path whose allocation count the meter pins.
+        let metered =
+            pooled && self.probe.is_some() && method == b"POST" && path.starts_with(b"/v1/ingest/");
+        Some(Inflight {
+            claim,
+            upstream: upstream.stream,
+            buf: upstream.buf,
+            resp_len: 0,
+            req_total: frame.len(),
+            req_sent: 0,
+            head: None,
+            relayed: 0,
+            deadline: now.checked_add(self.upstream_timeout),
+            pooled,
+            retried: false,
+            metered,
+            allocs: 0,
+            hash,
+            path: head.path,
+            track,
+            client_keep_alive: head.keep_alive,
+        })
     }
-    Service::Progress(progressed)
+
+    /// A completed exchange: pool the upstream if it stayed clean and
+    /// keep-alive, apply key tracking, bump counters, drop the request
+    /// frame from the client buffer.
+    fn finish(&mut self, conn: &mut Conn<Inflight>, f: Inflight) {
+        let head = f.head.expect("done implies framed");
+        let shared = &self.shared;
+        shared.stats.proxied.fetch_add(1, Ordering::Relaxed);
+        crate::obs::counter("route.proxied", 1);
+        if f.metered {
+            shared.stats.proxy_requests.fetch_add(1, Ordering::Relaxed);
+            shared.stats.proxy_allocs.fetch_add(f.allocs, Ordering::Relaxed);
+        }
+        if head.status == 200 && f.track != Track::None {
+            // Cold path (profile PUT/DELETE): re-split the path for the key
+            // parts; the span is still valid because nothing was drained
+            // while the exchange was in flight.
+            let path = std::str::from_utf8(&conn.inbuf[f.path.0..f.path.1]).unwrap_or_default();
+            let clean = path.split('?').next().unwrap_or("");
+            let mut segs = clean.split('/').filter(|s| !s.is_empty()).skip(2);
+            if let (Some(app), Some(entity)) = (segs.next(), segs.next()) {
+                let mut keys = shared.keys.lock();
+                match f.track {
+                    Track::Insert => {
+                        keys.insert(f.hash, (app.to_string(), entity.to_string()));
+                    }
+                    Track::Remove => {
+                        keys.remove(&f.hash);
+                    }
+                    Track::None => {}
+                }
+            }
+        }
+        if head.keep_alive && f.resp_len == head.total {
+            let bucket = self.pools.bucket(f.claim.0.addr);
+            if bucket.len() < POOL_PER_BACKEND {
+                bucket.push(Upstream { stream: f.upstream, buf: f.buf });
+            }
+        }
+        conn.inbuf.drain(..f.req_total);
+        if !f.client_keep_alive {
+            conn.close_after_flush = true;
+        }
+    }
+
+    /// A failed exchange: drop the upstream, answer the client with a
+    /// typed `502`, drop the request frame.
+    fn fail(&mut self, conn: &mut Conn<Inflight>, f: Inflight, msg: &str) {
+        self.shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
+        crate::obs::counter("route.upstream_errors", 1);
+        conn.inbuf.drain(..f.req_total);
+        if f.relayed > 0 {
+            // Part of a response already reached the client; the only honest
+            // move is to cut the connection rather than splice a 502 into a
+            // half-relayed body.
+            conn.close_after_flush = true;
+            return;
+        }
+        netloop::stage_error(&mut self.body, &mut conn.outbuf, 502, msg, f.client_keep_alive);
+        if !f.client_keep_alive {
+            conn.close_after_flush = true;
+        }
+    }
 }
 
 enum Drive {
@@ -1020,31 +954,36 @@ enum Drive {
 /// One nonblocking push of the exchange state machine. No allocation on
 /// the warmed path: request bytes go client-inbuf → upstream socket,
 /// response bytes kernel → `f.buf` → client socket.
-fn drive(client: &mut TcpStream, inbuf: &[u8], f: &mut Inflight, now: Instant) -> Drive {
-    let _ = now;
+fn drive(client: &mut TcpStream, inbuf: &[u8], f: &mut Inflight) -> Drive {
     // Forward the request frame verbatim.
-    while f.req_sent < f.req_total {
-        match f.upstream.write(&inbuf[f.req_sent..f.req_total]) {
-            Ok(0) => return Drive::UpstreamGone,
-            Ok(n) => f.req_sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drive::Pending,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Drive::UpstreamGone,
+    if f.req_sent < f.req_total {
+        while f.req_sent < f.req_total {
+            match f.upstream.write(&inbuf[f.req_sent..f.req_total]) {
+                Ok(0) => return Drive::UpstreamGone,
+                Ok(n) => f.req_sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drive::Pending,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return Drive::UpstreamGone,
+            }
         }
+        // The backend cannot have answered a request it has only just
+        // been sent; wait for `poll` rather than read into EAGAIN.
+        return Drive::Pending;
     }
     loop {
         // Frame the response once enough head bytes are in.
         if f.head.is_none() && f.resp_len > 0 {
             match wire::parse_head(&f.buf[..f.resp_len], MAX_HEAD_BYTES) {
                 HeadParse::Complete(h) => {
-                    let Some(status) = response_status(&f.buf[..f.resp_len], h.path) else {
+                    // The backend's content-length is unbounded input: a
+                    // frame length that overflows is a malformed response.
+                    let status = response_status(&f.buf[..f.resp_len], h.path);
+                    let (Some(status), Some(total)) =
+                        (status, h.head_len.checked_add(h.content_length))
+                    else {
                         return Drive::UpstreamGone;
                     };
-                    f.head = Some(RespHead {
-                        total: h.head_len + h.content_length,
-                        status,
-                        keep_alive: h.keep_alive,
-                    });
+                    f.head = Some(RespHead { total, status, keep_alive: h.keep_alive });
                 }
                 HeadParse::Partial => {}
                 HeadParse::Hangup | HeadParse::Bad(..) => return Drive::UpstreamGone,
@@ -1094,86 +1033,6 @@ fn response_status(buf: &[u8], span: (usize, usize)) -> Option<u16> {
     std::str::from_utf8(&buf[span.0..span.1]).ok()?.parse().ok()
 }
 
-/// A completed exchange: free the backend slot, pool the upstream if it
-/// stayed clean and keep-alive, apply key tracking, bump counters, drop
-/// the request frame from the client buffer.
-fn finish_exchange(conn: &mut Conn, shared: &RouterShared, pools: &mut Pools, f: Inflight) {
-    let head = f.head.expect("done implies framed");
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-    shared.stats.proxied.fetch_add(1, Ordering::Relaxed);
-    crate::obs::counter("route.proxied", 1);
-    if f.metered {
-        shared.stats.proxy_requests.fetch_add(1, Ordering::Relaxed);
-        shared.stats.proxy_allocs.fetch_add(f.allocs, Ordering::Relaxed);
-    }
-    if head.status == 200 && f.track != Track::None {
-        // Cold path (profile PUT/DELETE): re-split the path for the key
-        // parts; the span is still valid because nothing was drained
-        // while the exchange was in flight.
-        let path = std::str::from_utf8(&conn.inbuf[f.path.0..f.path.1]).unwrap_or_default();
-        let clean = path.split('?').next().unwrap_or("");
-        let mut segs = clean.split('/').filter(|s| !s.is_empty()).skip(2);
-        if let (Some(app), Some(entity)) = (segs.next(), segs.next()) {
-            let mut keys = shared.keys.lock();
-            match f.track {
-                Track::Insert => {
-                    keys.insert(f.hash, (app.to_string(), entity.to_string()));
-                }
-                Track::Remove => {
-                    keys.remove(&f.hash);
-                }
-                Track::None => {}
-            }
-        }
-    }
-    if head.keep_alive && f.resp_len == head.total {
-        let bucket = pools.bucket(f.backend.addr);
-        if bucket.len() < POOL_PER_BACKEND {
-            bucket.push(Upstream { stream: f.upstream, buf: f.buf });
-        }
-    }
-    conn.inbuf.drain(..f.req_total);
-    if !f.client_keep_alive {
-        conn.close_after_flush = true;
-    }
-}
-
-/// A failed exchange: free the backend slot, drop the upstream, answer
-/// the client with a typed `502`, drop the request frame.
-fn fail_exchange(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    scratch: &mut Scratch,
-    f: Inflight,
-    msg: &str,
-) {
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-    shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-    crate::obs::counter("route.upstream_errors", 1);
-    if f.relayed > 0 {
-        // Part of a response already reached the client; the only honest
-        // move is to cut the connection rather than splice a 502 into a
-        // half-relayed body.
-        conn.inbuf.drain(..f.req_total);
-        conn.close_after_flush = true;
-        return;
-    }
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, msg);
-    wire::write_head(
-        &mut conn.outbuf,
-        502,
-        "application/json",
-        scratch.body.len(),
-        f.client_keep_alive,
-    );
-    conn.outbuf.extend_from_slice(scratch.body.as_bytes());
-    conn.inbuf.drain(..f.req_total);
-    if !f.client_keep_alive {
-        conn.close_after_flush = true;
-    }
-}
-
 fn connect_upstream(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -1181,114 +1040,10 @@ fn connect_upstream(addr: SocketAddr) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Read client bytes and handle buffered requests: answer router-local
-/// routes inline, dispatch keyed routes upstream (at most one in flight
-/// per client connection — HTTP/1.1 responses are ordered anyway).
-#[allow(clippy::too_many_arguments)]
-fn read_and_dispatch(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Service {
-    let mut progressed = false;
-    let cap = cfg.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
-    let mut eof = false;
-    while conn.inbuf.len() < cap {
-        match conn.stream.read(&mut scratch.tmp) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&scratch.tmp[..n]);
-                conn.last_active = now;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Service::Closed,
-        }
-    }
-
-    let allocs_before = probe.map(|p| p()).unwrap_or(0);
-    let mut consumed = 0usize;
-    let mut dispatch: Option<wire::Head> = None;
-    loop {
-        let buf = &conn.inbuf[consumed..];
-        if buf.is_empty() {
-            break;
-        }
-        match wire::parse_head(buf, MAX_HEAD_BYTES) {
-            HeadParse::Partial => break,
-            HeadParse::Hangup => return Service::Closed,
-            HeadParse::Bad(status, msg) => {
-                stage_local_error(scratch, &mut conn.outbuf, status, msg, false);
-                conn.close_after_flush = true;
-                consumed = conn.inbuf.len();
-                progressed = true;
-                break;
-            }
-            HeadParse::Complete(head) => {
-                if head.content_length > cfg.max_body_bytes {
-                    stage_local_error(scratch, &mut conn.outbuf, 413, "body too large", false);
-                    conn.close_after_flush = true;
-                    consumed = conn.inbuf.len();
-                    progressed = true;
-                    break;
-                }
-                let total = head.head_len + head.content_length;
-                if buf.len() < total {
-                    break;
-                }
-                if plan_proxy(buf, &head, ring).is_some() {
-                    // The request must sit at inbuf[0] while in flight
-                    // (spans stay stable, the frame forwards verbatim):
-                    // stop parsing, drain what came before, dispatch.
-                    dispatch = Some(head);
-                    break;
-                }
-                handle_local(shared, scratch, &mut conn.outbuf, buf, &head);
-                progressed = true;
-                conn.last_active = now;
-                consumed += total;
-                if !head.keep_alive {
-                    conn.close_after_flush = true;
-                    break;
-                }
-            }
-        }
-    }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    if let Some(head) = dispatch {
-        progressed = true;
-        conn.last_active = now;
-        dispatch_proxy(conn, shared, ring, backends, pools, scratch, head, cfg, probe, now);
-        if let Some(f) = conn.inflight.as_mut() {
-            if f.metered {
-                if let Some(p) = probe {
-                    f.allocs += p() - allocs_before;
-                }
-            }
-        }
-    }
-    if eof {
-        conn.close_after_flush = true;
-    }
-    Service::Progress(progressed)
-}
-
 /// The owning backend for a keyed path, or `None` when the request is
 /// router-local. Every `/v1/{route}/{app}/{entity}` shape forwards — the
 /// backend owns route validation, so its 404 wording passes through.
-fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<(u64, u16)> {
+fn plan_proxy(buf: &[u8], head: &Head, ring: &Ring) -> Option<(u64, u16)> {
     let path = std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
     let clean = path.split('?').next().unwrap_or("");
     let mut segs = clean.split('/').filter(|s| !s.is_empty());
@@ -1305,134 +1060,30 @@ fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<(u64, u16)> 
     Some((hash, ring.owner_of(hash)?))
 }
 
-/// Stage a keyed request onto its owning backend (or shed/fail locally).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_proxy(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    head: wire::Head,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-    now: Instant,
-) {
-    let total = head.head_len + head.content_length;
-    let Some((hash, owner)) = plan_proxy(&conn.inbuf, &head, ring) else {
-        // Raced a ring change down to zero backends; nothing owns keys.
-        stage_local_error(scratch, &mut conn.outbuf, 502, "no backends", head.keep_alive);
-        shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-        conn.inbuf.drain(..total);
-        if !head.keep_alive {
-            conn.close_after_flush = true;
-        }
-        return;
-    };
-    let backend = &backends[owner as usize];
-    if backend.in_flight.load(Ordering::Acquire) >= cfg.max_inflight {
-        // Saturated: shed with the same bytes the accept tier uses.
-        scratch.body.clear();
-        wire::write_error_body(&mut scratch.body, "backend saturated");
-        wire::write_head_retry(
-            &mut conn.outbuf,
-            503,
-            "application/json",
-            scratch.body.len(),
-            head.keep_alive,
-            1,
-        );
-        conn.outbuf.extend_from_slice(scratch.body.as_bytes());
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        crate::obs::counter("route.shed", 1);
-        conn.inbuf.drain(..total);
-        if !head.keep_alive {
-            conn.close_after_flush = true;
-        }
-        return;
-    }
-    backend.in_flight.fetch_add(1, Ordering::AcqRel);
-    let (upstream, pooled) = match pools.bucket(backend.addr).pop() {
-        Some(u) => (u, true),
-        None => match connect_upstream(backend.addr) {
-            Ok(stream) => (Upstream { stream, buf: vec![0u8; UPSTREAM_BUF] }, false),
-            Err(_) => {
-                backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-                shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("route.upstream_errors", 1);
-                stage_local_error(
-                    scratch,
-                    &mut conn.outbuf,
-                    502,
-                    "upstream unavailable",
-                    head.keep_alive,
-                );
-                conn.inbuf.drain(..total);
-                if !head.keep_alive {
-                    conn.close_after_flush = true;
-                }
-                return;
-            }
-        },
-    };
-    let method = &conn.inbuf[head.method.0..head.method.1];
-    let path = &conn.inbuf[head.path.0..head.path.1];
-    let track = match method {
-        b"PUT" if path.starts_with(b"/v1/profile/") => Track::Insert,
-        b"DELETE" if path.starts_with(b"/v1/profile/") => Track::Remove,
-        _ => Track::None,
-    };
-    // Only pooled exchanges are metered: a pool miss pays a cold
-    // connect + buffer setup, which is lazy warmup, not the warmed
-    // path whose allocation count the meter pins.
-    let metered =
-        pooled && probe.is_some() && method == b"POST" && path.starts_with(b"/v1/ingest/");
-    conn.inflight = Some(Inflight {
-        backend: Arc::clone(backend),
-        upstream: upstream.stream,
-        buf: upstream.buf,
-        resp_len: 0,
-        req_total: total,
-        req_sent: 0,
-        head: None,
-        relayed: 0,
-        started: now,
-        pooled,
-        retried: false,
-        metered,
-        allocs: 0,
-        hash,
-        path: head.path,
-        track,
-        client_keep_alive: head.keep_alive,
-    });
-}
-
 /// Router-local routes: healthz, router stats, and 404s for anything
 /// unkeyed (there is no backend to ask).
 fn handle_local(
     shared: &RouterShared,
-    scratch: &mut Scratch,
+    body: &mut String,
     out: &mut Vec<u8>,
     buf: &[u8],
-    head: &wire::Head,
+    head: &Head,
 ) {
     shared.stats.local.fetch_add(1, Ordering::Relaxed);
     crate::obs::counter("route.local", 1);
     let method = std::str::from_utf8(&buf[head.method.0..head.method.1]).unwrap_or_default();
     let path = std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
     let clean = path.split('?').next().unwrap_or("");
-    scratch.body.clear();
+    body.clear();
     let status = match (method, clean) {
         ("GET", "/v1/healthz") => {
-            scratch.body.push_str("{\"ok\":true}");
+            body.push_str("{\"ok\":true}");
             200
         }
         ("GET", "/v1/stats") => {
             let s = shared.stats();
             let _ = write!(
-                scratch.body,
+                body,
                 "{{\"proxied\":{},\"local\":{},\"rejected\":{},\"shed\":{},\
                  \"upstream_errors\":{},\"retries\":{},\"tracked_keys\":{},\"rebalances\":{},\
                  \"migrated\":{},\"proxy_requests\":{},\"proxy_allocs\":{}}}",
@@ -1451,26 +1102,12 @@ fn handle_local(
             200
         }
         _ => {
-            wire::write_error_body(&mut scratch.body, "no such route");
+            wire::write_error_body(body, "no such route");
             404
         }
     };
-    wire::write_head(out, status, "application/json", scratch.body.len(), head.keep_alive);
-    out.extend_from_slice(scratch.body.as_bytes());
-}
-
-/// A local error response staged straight to the connection's outbuf.
-fn stage_local_error(
-    scratch: &mut Scratch,
-    out: &mut Vec<u8>,
-    status: u16,
-    message: &str,
-    keep_alive: bool,
-) {
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, message);
-    wire::write_head(out, status, "application/json", scratch.body.len(), keep_alive);
-    out.extend_from_slice(scratch.body.as_bytes());
+    wire::write_head(out, status, "application/json", body.len(), head.keep_alive);
+    out.extend_from_slice(body.as_bytes());
 }
 
 #[cfg(test)]
@@ -1806,6 +1443,45 @@ mod tests {
         assert!(rt.stats().retries >= 1, "at least one stale retry expected");
         rt.shutdown();
         gk.shutdown();
+    }
+
+    #[test]
+    fn overflowing_upstream_content_length_is_a_typed_502() {
+        // A backend whose content-length makes head_len + content_length
+        // overflow: the exchange must fail as a malformed response, and
+        // the upstream must be dropped rather than pooled.
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let baddr = backend.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut s, _) = backend.accept().unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut req = Vec::new();
+            let mut chunk = [0u8; 1024];
+            loop {
+                let n = s.read(&mut chunk).unwrap();
+                assert!(n > 0, "router closed before sending its request");
+                req.extend_from_slice(&chunk[..n]);
+                if let HeadParse::Complete(h) = wire::parse_head(&req, MAX_HEAD_BYTES) {
+                    if req.len() >= h.head_len + h.content_length {
+                        break;
+                    }
+                }
+            }
+            s.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+            // A dropped upstream reads as EOF here; a pooled one would
+            // stay open until the read timeout.
+            matches!(s.read(&mut chunk), Ok(0))
+        });
+        let rt = Router::bind("127.0.0.1:0", &[("n0", baddr)], RouterConfig::default()).unwrap();
+        let (status, body, _) =
+            call(rt.local_addr(), "POST", "/v1/ingest/a/e", b"{\"record\":[1,2]}");
+        assert_eq!(status, 502, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(body, b"{\"error\":\"upstream sent a malformed response\"}");
+        assert!(fake.join().unwrap(), "the misframed upstream must be closed, not pooled");
+        let stats = rt.stats();
+        assert_eq!((stats.upstream_errors, stats.retries, stats.proxied), (1, 0, 0));
+        rt.shutdown();
     }
 
     #[test]

@@ -32,10 +32,12 @@
 //! The request cycle is allocation-free once a connection is warmed.
 //! Each worker owns its connections outright (per-worker striping: the
 //! acceptor round-robins accepted sockets over bounded per-worker
-//! queues) and multiplexes them in a nonblocking event loop, so one
-//! slow connection cannot head-of-line-block another behind a busy
-//! worker. Per connection, requests are parsed in place from a reused
-//! input buffer ([`crate::wire::parse_head`] returns byte ranges, not
+//! queues) and multiplexes them on the `poll(2)` connection loop the
+//! router tier shares (`crate::netloop`), so one slow connection cannot
+//! head-of-line-block another behind a busy worker, and an idle worker
+//! sleeps in `poll` until a socket or a deadline needs it. Per
+//! connection, requests are parsed in place from a reused input buffer
+//! ([`crate::wire::parse_head`] returns byte ranges, not
 //! `String`s), ingest bodies are number-parsed directly into reused row
 //! buffers ([`crate::wire::parse_record_body`], falling back to the
 //! general tree parser on any structural deviation so responses —
@@ -56,23 +58,19 @@
 //! (`ingest`) takes one shard lock, one hash lookup, one detector tick.
 
 use crate::checkpoint::ServingProfile;
+use crate::netloop::{Conn, Handler, LoopConfig, Server, Step};
 use crate::registry::{key_hash, EntityKey, ProfileRegistry, RegistryStats};
 use crate::spill::SpillDir;
-use crate::wire::{self, BodyParse, HeadParse};
+use crate::wire::{self, BodyParse, Head};
 use exathlon_linalg::codec::ByteWriter;
 use parking_lot::Mutex;
+use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Largest accepted request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 64 << 10;
 
 /// Gatekeeper tuning knobs.
 #[derive(Debug, Clone)]
@@ -85,7 +83,7 @@ pub struct GatekeeperConfig {
     pub budget_bytes_per_shard: usize,
     /// Largest accepted request body; larger requests get 413.
     pub max_body_bytes: usize,
-    /// Idle-connection timeout (also bounds shutdown latency).
+    /// Idle-connection timeout.
     pub read_timeout: Duration,
     /// Accepted-but-unserved connections queued per worker. When every
     /// worker's queue is full the acceptor answers `503` with
@@ -165,7 +163,6 @@ struct GateCounters {
 /// State shared by every worker.
 struct Shared {
     shards: Vec<Mutex<ProfileRegistry>>,
-    max_body_bytes: usize,
     spill: Option<SpillDir>,
     gate: GateCounters,
 }
@@ -243,17 +240,8 @@ impl Shared {
 /// A running gatekeeper. Dropping it (or calling
 /// [`Gatekeeper::shutdown`]) stops the acceptor and joins every worker.
 pub struct Gatekeeper {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-#[derive(Clone, Copy)]
-struct WorkerCfg {
-    read_timeout: Duration,
-    max_conns: usize,
+    server: Server,
 }
 
 impl Gatekeeper {
@@ -261,7 +249,6 @@ impl Gatekeeper {
     /// it back with [`Gatekeeper::local_addr`].
     pub fn bind(addr: impl ToSocketAddrs, config: GatekeeperConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shards = config.shards.max(1);
         let spill = match &config.spill_dir {
             Some(dir) => Some(SpillDir::create(dir)?),
@@ -271,51 +258,35 @@ impl Gatekeeper {
             shards: (0..shards)
                 .map(|_| Mutex::new(ProfileRegistry::new(config.budget_bytes_per_shard)))
                 .collect(),
-            max_body_bytes: config.max_body_bytes,
             spill,
             gate: GateCounters::default(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let probe = alloc_probe();
-        let wcfg = WorkerCfg {
+        let cfg = LoopConfig {
             read_timeout: config.read_timeout,
             max_conns: config.max_conns_per_worker.max(1),
+            max_body_bytes: config.max_body_bytes,
         };
-
-        let mut txs = Vec::new();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
-                txs.push(tx);
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("gk-worker-{i}"))
-                    .spawn(move || worker_loop(rx, &shared, &stop, wcfg, probe))
-                    .expect("spawn gatekeeper worker")
-            })
-            .collect();
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gk-acceptor".into())
-                .spawn(move || {
-                    accept_striped(listener, txs, &stop, &|| {
-                        shared.gate.rejected.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::counter("serve.rejected", 1);
-                    })
-                })
-                .expect("spawn gatekeeper acceptor")
-        };
-
-        Ok(Self { addr: local, shared, stop, acceptor: Some(acceptor), workers })
+        let worker = || Worker { shared: Arc::clone(&shared), scratch: Scratch::new(), probe };
+        let shed = Arc::clone(&shared);
+        let server = Server::start(
+            listener,
+            "gk",
+            config.workers,
+            config.accept_queue,
+            cfg,
+            worker,
+            move || {
+                shed.gate.rejected.fetch_add(1, Ordering::Relaxed);
+                crate::obs::counter("serve.rejected", 1);
+            },
+        )?;
+        Ok(Self { shared, server })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Registry counters summed across shards.
@@ -330,103 +301,12 @@ impl Gatekeeper {
     }
 
     /// Stop accepting, close striped connections, join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Wake the acceptor out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-impl Drop for Gatekeeper {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.stop_threads();
-        }
-    }
-}
-
-// --------------------------------------------------------- accept striping
-
-/// The striped accept loop shared by the gatekeeper and the router tier
-/// ([`crate::route`]): round-robin accepted sockets over bounded
-/// per-worker queues, and shed load with `503` + `Retry-After` when
-/// every queue is full. `on_shed` is called once per shed connection
-/// (counters differ per tier; the shed bytes do not).
-pub(crate) fn accept_striped(
-    listener: TcpListener,
-    txs: Vec<SyncSender<TcpStream>>,
-    stop: &AtomicBool,
-    on_shed: &(dyn Fn() + Sync),
-) {
-    // The saturation response is fixed; build it once.
-    let body = br#"{"error":"server overloaded"}"#;
-    let mut reject = Vec::new();
-    wire::write_head_retry(&mut reject, 503, "application/json", body.len(), false, 1);
-    reject.extend_from_slice(body);
-
-    let mut next = 0usize;
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
-            break; // the shutdown self-connect lands here
-        }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_nonblocking(true);
-        // Round-robin striping over the per-worker queues: the first
-        // worker with queue room owns this connection for its lifetime.
-        let mut stream = Some(stream);
-        for i in 0..txs.len() {
-            let w = (next + i) % txs.len();
-            match txs[w].try_send(stream.take().expect("stream present until sent")) {
-                Ok(()) => {
-                    next = (w + 1) % txs.len();
-                    break;
-                }
-                Err(TrySendError::Full(s)) | Err(TrySendError::Disconnected(s)) => {
-                    stream = Some(s);
-                }
-            }
-        }
-        if let Some(s) = stream {
-            // Every queue is full: shed load now, tell the client when
-            // to come back, and never block the accept loop on it.
-            on_shed();
-            let _ = s.set_nonblocking(false);
-            let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
-            let mut s = s;
-            let _ = s.write_all(&reject);
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-    // `txs` drop here; idle workers see Disconnected and exit.
-}
-
-// ------------------------------------------------------------ worker loop
-
-/// One multiplexed connection: reused buffers plus framing state.
-struct Conn {
-    stream: TcpStream,
-    /// Unparsed request bytes (complete requests are consumed in place).
-    inbuf: Vec<u8>,
-    /// Serialized responses not yet accepted by the socket.
-    outbuf: Vec<u8>,
-    /// Prefix of `outbuf` already written.
-    out_pos: usize,
-    last_active: Instant,
-    /// Flush what is pending, then close (explicit `connection: close`,
-    /// protocol errors, EOF).
-    close_after_flush: bool,
-}
+// ------------------------------------------------------------ worker
 
 /// Per-worker reusable workspaces; nothing here is allocated per request
 /// once warmed.
@@ -441,8 +321,6 @@ struct Scratch {
     body: String,
     /// Spill-image encode buffer.
     writer: ByteWriter,
-    /// Socket read staging.
-    tmp: Vec<u8>,
 }
 
 impl Scratch {
@@ -453,238 +331,53 @@ impl Scratch {
             scores: Vec::new(),
             body: String::new(),
             writer: ByteWriter::new(),
-            tmp: vec![0u8; 64 << 10],
         }
     }
 }
 
-fn worker_loop(
-    rx: Receiver<TcpStream>,
-    shared: &Shared,
-    stop: &AtomicBool,
-    cfg: WorkerCfg,
+/// One gatekeeper worker: answers every request inline, on the shared
+/// connection loop.
+struct Worker {
+    shared: Arc<Shared>,
+    scratch: Scratch,
     probe: Option<fn() -> u64>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut pool: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle_spins = 0u32;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // Admit queued connections up to this worker's multiplex cap.
-        while conns.len() < cfg.max_conns {
-            match rx.try_recv() {
-                Ok(s) => conns.push(admit(s, &mut pool)),
-                Err(_) => break,
-            }
-        }
-        if conns.is_empty() {
-            // Nothing to poll: block on the queue instead of spinning.
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(s) => conns.push(admit(s, &mut pool)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let now = Instant::now();
-        let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match poll_conn(&mut conns[i], shared, &mut scratch, now, cfg, probe) {
-                Poll::Keep(p) => {
-                    progressed |= p;
-                    i += 1;
-                }
-                Poll::Close => {
-                    let c = conns.swap_remove(i);
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    pool.push((c.inbuf, c.outbuf));
-                    progressed = true;
-                }
-            }
-        }
-        // Single-core friendly backoff: yield first, then sleep with an
-        // escalating cap so an idle worker never busy-spins a shared CPU
-        // while waking fast once traffic resumes.
-        if progressed {
-            idle_spins = 0;
-        } else {
-            idle_spins += 1;
-            if idle_spins <= 16 {
-                std::thread::yield_now();
-            } else {
-                let us = (100u64 << (idle_spins - 16).min(5)).min(2_000);
-                std::thread::sleep(Duration::from_micros(us));
-            }
-        }
-    }
 }
 
-fn admit(stream: TcpStream, pool: &mut Vec<(Vec<u8>, Vec<u8>)>) -> Conn {
-    let (mut inbuf, mut outbuf) = pool.pop().unwrap_or_default();
-    inbuf.clear();
-    outbuf.clear();
-    Conn {
-        stream,
-        inbuf,
-        outbuf,
-        out_pos: 0,
-        last_active: Instant::now(),
-        close_after_flush: false,
-    }
-}
+impl Handler for Worker {
+    type Exchange = Infallible;
 
-enum Poll {
-    /// Connection stays; the flag reports whether any bytes moved.
-    Keep(bool),
-    Close,
-}
+    fn request(
+        &mut self,
+        frame: &[u8],
+        head: &Head,
+        out: &mut Vec<u8>,
+        _now: Instant,
+    ) -> Option<Infallible> {
+        // Head lines were UTF-8-validated by the parser.
+        let method = std::str::from_utf8(&frame[head.method.0..head.method.1]).unwrap_or_default();
+        let path = std::str::from_utf8(&frame[head.path.0..head.path.1]).unwrap_or_default();
+        let body = &frame[head.head_len..];
+        handle(
+            &self.shared,
+            &mut self.scratch,
+            method,
+            path,
+            body,
+            head.keep_alive,
+            out,
+            self.probe,
+        );
+        None
+    }
 
-fn poll_conn(
-    conn: &mut Conn,
-    shared: &Shared,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Poll {
-    let mut progressed = false;
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
+    fn progress(
+        &mut self,
+        x: Infallible,
+        _: &mut Conn<Infallible>,
+        _: Instant,
+    ) -> Step<Infallible> {
+        match x {}
     }
-    if conn.close_after_flush {
-        if conn.out_pos == conn.outbuf.len() {
-            return Poll::Close;
-        }
-        // Still draining; the idle timeout below bounds a stuck peer.
-    } else {
-        // Read until the socket would block (bounded so a pipelining
-        // peer cannot grow the buffer past one max-size request).
-        let cap = shared.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
-        let mut eof = false;
-        while conn.inbuf.len() < cap {
-            match conn.stream.read(&mut scratch.tmp) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&scratch.tmp[..n]);
-                    conn.last_active = now;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Poll::Close,
-            }
-        }
-
-        // Handle every complete request buffered so far.
-        let mut consumed = 0usize;
-        loop {
-            let buf = &conn.inbuf[consumed..];
-            if buf.is_empty() {
-                break;
-            }
-            match wire::parse_head(buf, MAX_HEAD_BYTES) {
-                HeadParse::Partial => break,
-                HeadParse::Hangup => return Poll::Close,
-                HeadParse::Bad(status, msg) => {
-                    stage_error_response(scratch, &mut conn.outbuf, status, msg);
-                    conn.close_after_flush = true;
-                    consumed = conn.inbuf.len();
-                    progressed = true;
-                    break;
-                }
-                HeadParse::Complete(head) => {
-                    if head.content_length > shared.max_body_bytes {
-                        stage_error_response(scratch, &mut conn.outbuf, 413, "body too large");
-                        conn.close_after_flush = true;
-                        consumed = conn.inbuf.len();
-                        progressed = true;
-                        break;
-                    }
-                    let total = head.head_len + head.content_length;
-                    if buf.len() < total {
-                        break; // body not fully buffered yet
-                    }
-                    // Head lines were UTF-8-validated by the parser.
-                    let method =
-                        std::str::from_utf8(&buf[head.method.0..head.method.1]).unwrap_or_default();
-                    let path =
-                        std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
-                    let body = &buf[head.head_len..total];
-                    handle(
-                        shared,
-                        scratch,
-                        method,
-                        path,
-                        body,
-                        head.keep_alive,
-                        &mut conn.outbuf,
-                        probe,
-                    );
-                    progressed = true;
-                    conn.last_active = now;
-                    consumed += total;
-                    if !head.keep_alive {
-                        conn.close_after_flush = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if consumed > 0 {
-            conn.inbuf.drain(..consumed);
-        }
-        if eof {
-            // Peer is done sending; flush whatever is staged, then close
-            // (an incomplete buffered request is dropped silently, like
-            // the old reader's Hangup).
-            conn.close_after_flush = true;
-        }
-        match flush_out(conn, now) {
-            Flush::Closed => return Poll::Close,
-            Flush::Progress(p) => progressed |= p,
-        }
-        if conn.close_after_flush && conn.out_pos == conn.outbuf.len() {
-            return Poll::Close;
-        }
-    }
-    if now.duration_since(conn.last_active) > cfg.read_timeout {
-        return Poll::Close;
-    }
-    Poll::Keep(progressed)
-}
-
-enum Flush {
-    Progress(bool),
-    Closed,
-}
-
-fn flush_out(conn: &mut Conn, now: Instant) -> Flush {
-    let mut progressed = false;
-    while conn.out_pos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => return Flush::Closed,
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_active = now;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Flush::Closed,
-        }
-    }
-    if conn.out_pos == conn.outbuf.len() && conn.out_pos > 0 {
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-    }
-    Flush::Progress(progressed)
 }
 
 // --------------------------------------------------------------- routing
@@ -700,15 +393,6 @@ fn stage_error(scratch: &mut Scratch, status: u16, message: &str) -> Reply {
     scratch.body.clear();
     wire::write_error_body(&mut scratch.body, message);
     Reply::Json(status)
-}
-
-/// Serialize an error straight to a connection's output buffer (protocol
-/// errors that bypass routing). Always closes, mirroring the old server.
-fn stage_error_response(scratch: &mut Scratch, out: &mut Vec<u8>, status: u16, message: &str) {
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, message);
-    wire::write_head(out, status, "application/json", scratch.body.len(), false);
-    out.extend_from_slice(scratch.body.as_bytes());
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -969,6 +653,12 @@ fn ingest(
         }
     }
 }
+
+#[cfg(test)]
+use std::{
+    io::{Read, Write},
+    net::TcpStream,
+};
 
 #[cfg(test)]
 mod tests {

@@ -214,3 +214,89 @@ fn router_shutdown_is_prompt() {
         }
     );
 }
+
+/// Thread ids of this process.
+fn task_ids() -> std::collections::BTreeSet<u32> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+        .collect()
+}
+
+/// A thread's name, and its voluntary + involuntary context switches.
+fn task_switches(tid: u32) -> Option<(String, u64)> {
+    let dir = format!("/proc/self/task/{tid}");
+    let comm = std::fs::read_to_string(format!("{dir}/comm")).ok()?;
+    let status = std::fs::read_to_string(format!("{dir}/status")).ok()?;
+    let switches = status
+        .lines()
+        .filter(|l| l.starts_with("voluntary_ctxt_switches") || l.starts_with("nonvoluntary"))
+        .filter_map(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .sum();
+    Some((comm.trim().to_string(), switches))
+}
+
+#[test]
+fn idle_workers_sleep_until_a_socket_needs_them() {
+    // A router in front of one gatekeeper, one keep-alive client, one
+    // request, then 1 s of quiet: every worker must stay asleep in its
+    // poll, whether it holds a connection or not.
+    let long = Duration::from_secs(10);
+    let gk_cfg = GatekeeperConfig { read_timeout: long, ..gk_config(None) };
+    let rt_cfg = RouterConfig { read_timeout: long, ..RouterConfig::default() };
+    let want = gk_cfg.workers + rt_cfg.workers;
+    // Tests in this file run concurrently and name their workers alike:
+    // retry until exactly this fleet's workers appeared while it bound.
+    for attempt in 1..=5 {
+        let before = task_ids();
+        let gk = Gatekeeper::bind("127.0.0.1:0", gk_cfg.clone()).unwrap();
+        let rt = Router::bind("127.0.0.1:0", &[("solo", gk.local_addr())], rt_cfg.clone()).unwrap();
+        let spawned: Vec<u32> = task_ids().difference(&before).copied().collect();
+
+        let mut client = TcpStream::connect(rt.local_addr()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let image = profile().to_bytes();
+        let head = format!(
+            "PUT /v1/profile/spark/idle HTTP/1.1\r\nhost: smoke\r\ncontent-length: {}\r\n\r\n",
+            image.len()
+        );
+        client.write_all(head.as_bytes()).unwrap();
+        client.write_all(&image).unwrap();
+        let mut raw = Vec::new();
+        let mut chunk = [0u8; 1024];
+        while !raw.ends_with(b"}") {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "router closed the keep-alive connection");
+            raw.extend_from_slice(&chunk[..n]);
+        }
+        assert!(raw.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&raw));
+        // Let every worker reach its poll.
+        std::thread::sleep(Duration::from_millis(100));
+
+        let workers: Vec<(u32, String, u64)> = spawned
+            .iter()
+            .filter_map(|&tid| {
+                let (name, n) = task_switches(tid)?;
+                let worker = name.starts_with("gk-worker-") || name.starts_with("rt-worker-");
+                worker.then_some((tid, name, n))
+            })
+            .collect();
+        if workers.len() != want {
+            assert!(attempt < 5, "could not isolate this fleet's {want} workers: {workers:?}");
+            continue;
+        }
+        std::thread::sleep(Duration::from_secs(1));
+        for (tid, name, start) in &workers {
+            let (_, end) = task_switches(*tid).expect("worker alive while its tier runs");
+            assert!(
+                end - start <= 10,
+                "{name} switched context {} times in 1 s of idle time",
+                end - start
+            );
+        }
+        drop(client);
+        rt.shutdown();
+        gk.shutdown();
+        return;
+    }
+}

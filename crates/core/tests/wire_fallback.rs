@@ -10,8 +10,15 @@
 //! on the same invariant from the other side — it forwards bodies
 //! verbatim, so whichever parser a backend picks, the scored bits match
 //! a single-node deployment.
+//!
+//! The head parser meets bytes from outside the program in both
+//! directions (client requests, backend responses), so it is pinned as
+//! total: it never panics, and every head it completes lies inside the
+//! buffer it was given.
 
-use exathlon_core::wire::{parse_record_body, parse_record_body_slow, BodyParse};
+use exathlon_core::wire::{
+    parse_head, parse_record_body, parse_record_body_slow, BodyParse, HeadParse,
+};
 use proptest::prelude::*;
 
 /// One JSON value in the hot grammar: a number or null. Generated from
@@ -60,7 +67,55 @@ fn assert_equivalent(body: &[u8], batch: bool) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// `content-length` values: arbitrary digit strings (up to 40 digits,
+/// so most overflow `usize`) and the `usize` boundary itself.
+fn length_digits() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop::collection::vec(0u8..10, 1..41)
+            .prop_map(|d| d.iter().map(|&x| char::from(b'0' + x)).collect()),
+        Just(usize::MAX.to_string()),
+        Just("18446744073709551616".to_string()),
+        (0usize..100_000).prop_map(|n| n.to_string()),
+    ]
+}
+
+/// Parse `buf` under a tight and the serving head cap; any complete head
+/// must lie inside `buf`, with its method and path spans inside the head.
+fn assert_head_in_bounds(buf: &[u8]) -> Result<(), TestCaseError> {
+    for max_head in [16, 64 << 10] {
+        if let HeadParse::Complete(h) = parse_head(buf, max_head) {
+            prop_assert!(h.head_len <= buf.len(), "head_len past the buffer: {:?}", h);
+            for (start, end) in [h.method, h.path] {
+                prop_assert!(start <= end && end <= h.head_len, "span outside the head: {:?}", h);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Arbitrary bytes, and request and response heads carrying arbitrary
+    /// `content-length` digits with arbitrary bytes around them: the head
+    /// parser never panics and never frames past its input.
+    #[test]
+    fn parse_head_is_total_and_in_bounds(
+        bytes in prop::collection::vec(0u8..=255, 0..300),
+        digits in length_digits(),
+        response in 0u8..2,
+    ) {
+        assert_head_in_bounds(&bytes)?;
+        let first = if response == 1 { "HTTP/1.1 200 OK" } else { "POST /v1/ingest/a/e HTTP/1.1" };
+        let head = format!("{first}\r\ncontent-length: {digits}\r\n\r\n").into_bytes();
+        let mut framed = head.clone();
+        framed.extend_from_slice(&bytes);
+        assert_head_in_bounds(&framed)?;
+        let mut prefixed = bytes.clone();
+        prefixed.extend_from_slice(&head);
+        assert_head_in_bounds(&prefixed)?;
+        let cut = bytes.len() % (head.len() + 1);
+        assert_head_in_bounds(&head[..cut])?;
+    }
+
     /// Canonical single-record bodies: fast accept ⟹ tree-parser
     /// agreement, bit for bit.
     #[test]
