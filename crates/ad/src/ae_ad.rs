@@ -68,22 +68,30 @@ impl AutoencoderDetector {
         Self { config, model: None }
     }
 
-    /// Window score (reconstruction MSE) for each flattened window.
-    fn window_scores(&self, windows: &Matrix) -> Vec<f64> {
+    /// Reconstruction MSE of each flattened window, one per row
+    /// (record-major, `window * dims` values). This is the detector's one
+    /// scoring path: series scoring and model-dependent explainers such
+    /// as LIME batch through it. Row `i`'s score depends on row `i`
+    /// alone — the GEMM accumulates each output cell in one ascending-`k`
+    /// sum and the epilogue and error are row-wise — so it is bitwise
+    /// the same in any batch.
+    ///
+    /// # Panics
+    /// Panics if the detector is unfitted or the row length mismatches.
+    pub fn window_scores(&self, windows: &Matrix) -> Vec<f64> {
         let model = self.model.as_ref().expect("detector not fitted");
         let recon = model.predict(windows);
         row_squared_errors(&recon, windows)
     }
 
-    /// Reconstruction MSE of a single flattened window (record-major,
-    /// `window * dims` values). This is the score function handed to
-    /// model-dependent explainers such as LIME.
+    /// [`AutoencoderDetector::window_scores`] of a single flattened
+    /// window, for the streaming adapters that score one window per
+    /// record.
     ///
     /// # Panics
     /// Panics if the detector is unfitted or the window length mismatches.
     pub fn window_score(&self, flat_window: &[f64]) -> f64 {
-        let m = Matrix::from_vec(1, flat_window.len(), flat_window.to_vec());
-        self.window_scores(&m)[0]
+        self.window_scores(&Matrix::row_vector(flat_window))[0]
     }
 
     /// The configured window length.

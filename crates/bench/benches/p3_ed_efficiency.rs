@@ -9,6 +9,7 @@ use exathlon_ad::AnomalyScorer;
 use exathlon_ed::exstream::ExstreamExplainer;
 use exathlon_ed::lime::{LimeConfig, LimeExplainer};
 use exathlon_ed::macrobase::MacroBaseExplainer;
+use exathlon_linalg::Matrix;
 use exathlon_tsdata::series::default_names;
 use exathlon_tsdata::TimeSeries;
 use rand::rngs::StdRng;
@@ -71,7 +72,7 @@ fn bench_lime(c: &mut Criterion) {
         let window = anomaly.slice(0, 4);
         let lime = LimeExplainer::new(LimeConfig { n_samples: 200, ..LimeConfig::default() });
         group.bench_with_input(BenchmarkId::new("LIME", dims), &dims, |b, _| {
-            b.iter(|| black_box(lime.explain(&window, &|flat: &[f64]| ae.window_score(flat))))
+            b.iter(|| black_box(lime.explain(&window, &|batch: &Matrix| ae.window_scores(batch))))
         });
     }
     group.finish();

@@ -26,6 +26,7 @@ use exathlon_ed::exstream::ExstreamExplainer;
 use exathlon_ed::lime::LimeExplainer;
 use exathlon_ed::macrobase::MacroBaseExplainer;
 use exathlon_ed::Explanation;
+use exathlon_linalg::Matrix;
 use exathlon_sparksim::deg::AnomalyType;
 use exathlon_tsdata::TimeSeries;
 use exathlon_tsmetrics::ed_metrics::{conciseness, concordance, stability};
@@ -136,7 +137,9 @@ pub struct EdTypeRow {
     pub precision: Option<f64>,
     /// Mean ED1 accuracy recall (`None` for LIME).
     pub recall: Option<f64>,
-    /// Mean seconds per explanation.
+    /// Mean seconds per explanation: the wall time of one explain call
+    /// on a case's whole anomaly. LIME cases run in parallel, so each
+    /// call is measured while other lanes run.
     pub time_secs: f64,
     /// Number of anomalies behind the row.
     pub n_cases: usize,
@@ -173,64 +176,111 @@ impl EdRunner<'_> {
         match self.method {
             EdMethodKind::MacroBase => MacroBaseExplainer::default().explain(anomaly, reference),
             EdMethodKind::Exstream => ExstreamExplainer::default().explain(anomaly, reference),
-            EdMethodKind::Lime => {
-                let model = self.ae_model.expect("LIME requires the AE model (model-dependent ED)");
-                let window = padded_window(anomaly, 0, model.window_len());
-                let score_fn = |flat: &[f64]| model.window_score(flat);
-                LimeExplainer::default().explain(&window, &score_fn)
-            }
+            EdMethodKind::Lime => self.explain_window(anomaly, 0),
         }
     }
 
-    /// Explanations of the ED1 subsamples of one case. For logical methods
-    /// these come from random 80% subsamples of the anomaly and reference;
-    /// for LIME from windows evenly spread across the anomalous period
-    /// (Appendix C).
-    fn subsample_explanations(
-        &self,
-        case: &EdCase,
-        rng: &mut StdRng,
-    ) -> Vec<(Explanation, Vec<usize>)> {
+    /// LIME's explanation of the model-sized window of `series` starting
+    /// at `start`: all perturbations go through one batched AE forward.
+    fn explain_window(&self, series: &TimeSeries, start: usize) -> Explanation {
+        let model = self.ae_model.expect("LIME requires the AE model (model-dependent ED)");
+        let window = padded_window(series, start, model.window_len());
+        LimeExplainer::default().explain(&window, &|batch: &Matrix| model.window_scores(batch))
+    }
+
+    /// One LIME case: the timed explanation of the whole anomaly, and for
+    /// ED1 the explanations of windows evenly spread across the anomalous
+    /// period (Appendix C). Draws no randomness, so cases are independent.
+    fn lime_case(&self, case: &EdCase) -> CaseResult {
+        let start = Instant::now();
+        let explanation = self.explain(&case.anomaly, &case.reference);
+        let secs = start.elapsed().as_secs_f64();
+        let w = self.ae_model.expect("LIME requires the AE model").window_len();
+        let max_start = case.anomaly.len().saturating_sub(w);
+        let sub_features = (0..N_SUBSAMPLES)
+            .map(|i| {
+                let start = if N_SUBSAMPLES > 1 { max_start * i / (N_SUBSAMPLES - 1) } else { 0 };
+                self.explain_window(&case.anomaly, start).features()
+            })
+            .collect();
+        CaseResult { atype: case.atype, explanation, sub_features, accuracy: None, secs }
+    }
+
+    /// One case of a logical method: the timed explanation of the whole
+    /// anomaly, and for ED1 the explanations of random 80% subsamples of
+    /// the anomaly and reference, replayed as predictors on the held-out
+    /// records. Subsampling draws from the run's one `rng`.
+    fn logical_case(&self, case: &EdCase, rng: &mut StdRng) -> CaseResult {
+        let start = Instant::now();
+        let explanation = self.explain(&case.anomaly, &case.reference);
+        let secs = start.elapsed().as_secs_f64();
         let n = case.anomaly.len();
-        match self.method {
-            EdMethodKind::Lime => {
-                let model = self.ae_model.expect("LIME requires the AE model");
-                let w = model.window_len();
-                let score_fn = |flat: &[f64]| model.window_score(flat);
-                (0..N_SUBSAMPLES)
-                    .map(|i| {
-                        let max_start = n.saturating_sub(w);
-                        let start =
-                            if N_SUBSAMPLES > 1 { max_start * i / (N_SUBSAMPLES - 1) } else { 0 };
-                        let window = padded_window(&case.anomaly, start, w);
-                        let e = LimeExplainer::default().explain(&window, &score_fn);
-                        (e, Vec::new())
-                    })
-                    .collect()
-            }
-            _ => (0..N_SUBSAMPLES)
-                .map(|_| {
-                    let keep = ((n as f64) * SUBSAMPLE_FRACTION).ceil() as usize;
-                    let mut idx: Vec<usize> = (0..n).collect();
-                    idx.shuffle(rng);
-                    let mut sample_idx = idx[..keep.min(n)].to_vec();
-                    sample_idx.sort_unstable();
-                    let holdout: Vec<usize> = idx[keep.min(n)..].to_vec();
-                    let sample = select_records(&case.anomaly, &sample_idx);
-                    // Reference subsampled at the same rate.
-                    let rn = case.reference.len();
-                    let rkeep = ((rn as f64) * SUBSAMPLE_FRACTION).ceil() as usize;
-                    let mut ridx: Vec<usize> = (0..rn).collect();
-                    ridx.shuffle(rng);
-                    let mut rsample_idx = ridx[..rkeep.min(rn)].to_vec();
-                    rsample_idx.sort_unstable();
-                    let rsample = select_records(&case.reference, &rsample_idx);
-                    let e = self.explain(&sample, &rsample);
-                    (e, holdout)
-                })
-                .collect(),
+        let subs: Vec<(Explanation, Vec<usize>)> = (0..N_SUBSAMPLES)
+            .map(|_| {
+                let keep = ((n as f64) * SUBSAMPLE_FRACTION).ceil() as usize;
+                let mut idx: Vec<usize> = (0..n).collect();
+                idx.shuffle(rng);
+                let mut sample_idx = idx[..keep.min(n)].to_vec();
+                sample_idx.sort_unstable();
+                let holdout: Vec<usize> = idx[keep.min(n)..].to_vec();
+                let sample = select_records(&case.anomaly, &sample_idx);
+                // Reference subsampled at the same rate.
+                let rn = case.reference.len();
+                let rkeep = ((rn as f64) * SUBSAMPLE_FRACTION).ceil() as usize;
+                let mut ridx: Vec<usize> = (0..rn).collect();
+                ridx.shuffle(rng);
+                let mut rsample_idx = ridx[..rkeep.min(rn)].to_vec();
+                rsample_idx.sort_unstable();
+                let rsample = select_records(&case.reference, &rsample_idx);
+                let e = self.explain(&sample, &rsample);
+                (e, holdout)
+            })
+            .collect();
+        let sub_features = subs.iter().map(|(e, _)| e.features()).collect();
+        let accuracy = ed1_accuracy(case, &subs);
+        CaseResult { atype: case.atype, explanation, sub_features, accuracy, secs }
+    }
+}
+
+/// ED1 accuracy: the subsample explanations predict the held-out
+/// anomalous records (label 1) and the adjacent normal reference records
+/// (label 0). `None` when no explanation is predictive.
+fn ed1_accuracy(case: &EdCase, subs: &[(Explanation, Vec<usize>)]) -> Option<(f64, f64)> {
+    let mut confusion = Confusion::default();
+    let mut any = false;
+    for (e, holdout) in subs {
+        let Some(formula) = e.as_predictive() else { continue };
+        let mut predicted = Vec::new();
+        let mut actual = Vec::new();
+        for &i in holdout {
+            predicted.push(formula.predict(case.anomaly.record(i)));
+            actual.push(true);
+        }
+        // Adjacent normal data: the tail of the reference.
+        let ref_take = holdout.len().max(4).min(case.reference.len());
+        for i in case.reference.len() - ref_take..case.reference.len() {
+            predicted.push(formula.predict(case.reference.record(i)));
+            actual.push(false);
+        }
+        if !predicted.is_empty() {
+            let c = Confusion::from_predictions(&predicted, &actual);
+            confusion.tp += c.tp;
+            confusion.fp += c.fp;
+            confusion.fn_ += c.fn_;
+            confusion.tn += c.tn;
+            any = true;
         }
     }
+    any.then(|| (confusion.precision(), confusion.recall()))
+}
+
+/// One case's outputs, folded into the Table 5 rows.
+struct CaseResult {
+    atype: AnomalyType,
+    explanation: Explanation,
+    sub_features: Vec<Vec<usize>>,
+    accuracy: Option<(f64, f64)>,
+    secs: f64,
 }
 
 /// Slice `[start, start + w)` of a series, padded by repeating the last
@@ -255,62 +305,15 @@ fn select_records(ts: &TimeSeries, indices: &[usize]) -> TimeSeries {
 pub fn evaluate_ed(runner: &EdRunner<'_>, cases: &[EdCase]) -> EdEvaluation {
     let _stage = crate::obs::stage("ed");
     crate::obs::add_records("ed", cases.iter().map(|c| c.anomaly.len() as u64).sum());
-    let mut rng = StdRng::seed_from_u64(runner.seed);
-
-    struct CaseResult {
-        atype: AnomalyType,
-        explanation: Explanation,
-        sub_features: Vec<Vec<usize>>,
-        accuracy: Option<(f64, f64)>,
-        secs: f64,
-    }
-
-    let mut results: Vec<CaseResult> = Vec::with_capacity(cases.len());
-    for case in cases {
-        let start = Instant::now();
-        let explanation = runner.explain(&case.anomaly, &case.reference);
-        let secs = start.elapsed().as_secs_f64();
-
-        let subs = runner.subsample_explanations(case, &mut rng);
-        let sub_features: Vec<Vec<usize>> = subs.iter().map(|(e, _)| e.features()).collect();
-
-        // ED1 accuracy: the subsample explanations predict the held-out
-        // anomalous records (label 1) and the adjacent normal reference
-        // records (label 0).
-        let mut accuracy = None;
-        if runner.method != EdMethodKind::Lime {
-            let mut confusion = Confusion::default();
-            let mut any = false;
-            for (e, holdout) in &subs {
-                let Some(formula) = e.as_predictive() else { continue };
-                let mut predicted = Vec::new();
-                let mut actual = Vec::new();
-                for &i in holdout {
-                    predicted.push(formula.predict(case.anomaly.record(i)));
-                    actual.push(true);
-                }
-                // Adjacent normal data: the tail of the reference.
-                let ref_take = holdout.len().max(4).min(case.reference.len());
-                for i in case.reference.len() - ref_take..case.reference.len() {
-                    predicted.push(formula.predict(case.reference.record(i)));
-                    actual.push(false);
-                }
-                if !predicted.is_empty() {
-                    let c = Confusion::from_predictions(&predicted, &actual);
-                    confusion.tp += c.tp;
-                    confusion.fp += c.fp;
-                    confusion.fn_ += c.fn_;
-                    confusion.tn += c.tn;
-                    any = true;
-                }
-            }
-            if any {
-                accuracy = Some((confusion.precision(), confusion.recall()));
-            }
+    let results: Vec<CaseResult> = match runner.method {
+        // LIME cases share no state, so they fan out; the logical methods
+        // thread one subsampling RNG through the cases in order.
+        EdMethodKind::Lime => crate::par::par_map(cases, |case| runner.lime_case(case)),
+        EdMethodKind::MacroBase | EdMethodKind::Exstream => {
+            let mut rng = StdRng::seed_from_u64(runner.seed);
+            cases.iter().map(|case| runner.logical_case(case, &mut rng)).collect()
         }
-
-        results.push(CaseResult { atype: case.atype, explanation, sub_features, accuracy, secs });
-    }
+    };
 
     let row_for = |atype: Option<AnomalyType>| -> EdTypeRow {
         let subset: Vec<&CaseResult> =

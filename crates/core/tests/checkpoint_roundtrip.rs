@@ -2,12 +2,13 @@
 //! **bitwise** for both batch-backed (kNN) and stream-native (CUSUM)
 //! detectors, for arbitrary traces and arbitrary snapshot points; every
 //! corrupt image — truncated, wrong magic, wrong version, trailing
-//! garbage — must be a typed error, never a panic.
+//! garbage, arbitrary bytes, any single mutated byte — must decode or be
+//! a typed error, never a panic.
 
 use exathlon_ad::knn_ad::{KnnConfig, KnnDetector};
 use exathlon_ad::stream::{CusumConfig, CusumDetector, StreamingKnn};
 use exathlon_ad::AnomalyScorer;
-use exathlon_core::checkpoint::{ServingProfile, VERSION};
+use exathlon_core::checkpoint::{ServingProfile, MAGIC, VERSION};
 use exathlon_linalg::codec::CodecError;
 use exathlon_tsdata::scale::DynamicScaler;
 use exathlon_tsdata::series::default_names;
@@ -170,6 +171,77 @@ proptest! {
     }
 }
 
+/// Decode `bytes`: `from_bytes` returns a profile or a typed
+/// `CodecError`, so the property is that it returns at all, and that a
+/// profile it accepts re-encodes to an image it accepts again.
+fn decodes_or_errs(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(profile) = ServingProfile::from_bytes(bytes) {
+        let again = ServingProfile::from_bytes(&profile.to_bytes());
+        prop_assert!(again.is_ok(), "accepted image does not re-decode: {:?}", again.err());
+    }
+    Ok(())
+}
+
+/// A valid kNN (`family` 0) or CUSUM image.
+fn valid_image(family: u8, seed: u64) -> Vec<u8> {
+    let train = trace(60, 1 + (seed % 3) as usize, seed);
+    if family == 0 {
+        knn_profile(&train, 1.0).to_bytes()
+    } else {
+        cusum_profile(&train, 2.0).to_bytes()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes never panic the decoder.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
+        decodes_or_errs(&bytes)?;
+    }
+
+    /// Arbitrary bytes behind a valid header, no scaler, no PCA and any
+    /// detector tag reach every detector decoder, and never panic it.
+    #[test]
+    fn arbitrary_detector_body_never_panics(
+        tag in 0u8..8,
+        body in proptest::collection::vec(0u8..=255, 0..256),
+    ) {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend([VERSION, 0, 0, tag]);
+        bytes.extend(&body);
+        decodes_or_errs(&bytes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any one byte of a valid kNN or CUSUM image replaced by another
+    /// value decodes or errs, never panics. Each case walks every byte
+    /// position with one arbitrary replacement plus the values that most
+    /// often break a length or flag: 0x00, 0xFF and the low bit flipped.
+    #[test]
+    fn single_byte_mutation_never_panics(
+        family in 0u8..2,
+        seed in 0u64..50,
+        value in 0u8..=255,
+    ) {
+        let image = valid_image(family, seed);
+        let mut bytes = image.clone();
+        for (pos, &orig) in image.iter().enumerate() {
+            for v in [value, 0x00, 0xFF, orig ^ 0x01] {
+                if v != orig {
+                    bytes[pos] = v;
+                    decodes_or_errs(&bytes)?;
+                }
+            }
+            bytes[pos] = orig;
+        }
+    }
+}
+
 #[test]
 fn truncated_file_and_bad_magic_error_via_file_api() {
     let dir = std::env::temp_dir().join("exathlon_ckpt_it");
@@ -220,4 +292,19 @@ fn restored_knn_matches_batch_scorer() {
         let (got, _) = restored.ingest(rec);
         assert_eq!(got.to_bits(), want[i].to_bits(), "record {i}");
     }
+}
+
+/// Regression: a kNN image announcing 2^62 reference rows of zero width
+/// carries no reference bytes, so it passed the length check. The
+/// decoder accepted it (an unoptimized build spun for minutes first),
+/// and its first ingest panicked on the dimension mismatch.
+#[test]
+fn zero_width_knn_references_are_corrupt() {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend([VERSION, 0, 0, 6]); // no scaler, no PCA, kNN
+    for field in [3u64, 64, 1 << 62, 0] {
+        bytes.extend(field.to_le_bytes()); // k, max_references, rows, cols
+    }
+    bytes.extend(1.0f64.to_le_bytes()); // threshold
+    assert!(matches!(ServingProfile::from_bytes(&bytes), Err(CodecError::Corrupt(_))));
 }

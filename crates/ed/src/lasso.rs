@@ -37,38 +37,30 @@ impl LassoFit {
 }
 
 /// Fit `y ~ X` with sample weights and an L1 penalty `lambda` (on
-/// standardized features). `x` is row-major `n x d`.
+/// standardized features). `x` is `n x d`, one sample per row.
 ///
 /// # Panics
 /// Panics on shape mismatches or empty input.
 pub fn weighted_lasso(
-    x: &[Vec<f64>],
+    x: &Matrix,
     y: &[f64],
     weights: &[f64],
     lambda: f64,
     max_iters: usize,
     tol: f64,
 ) -> LassoFit {
-    let n = x.len();
+    let (n, d) = x.shape();
     assert!(n > 0, "empty design matrix");
-    let d = x[0].len();
     assert_eq!(y.len(), n, "y length mismatch");
     assert_eq!(weights.len(), n, "weights length mismatch");
-    assert!(x.iter().all(|r| r.len() == d), "ragged design matrix");
 
     let w_total: f64 = weights.iter().sum();
     assert!(w_total > 0.0, "weights sum to zero");
 
     // Feature-major design (`d × n`): feature `j` is the contiguous row
-    // `xf.row(j)`. Every sweep below walks samples in the same ascending
-    // order as the row-major loops it replaces, so results are bitwise
-    // unchanged.
-    let mut xf = Matrix::zeros(d, n);
-    for (i, r) in x.iter().enumerate() {
-        for (j, &v) in r.iter().enumerate() {
-            xf[(j, i)] = v;
-        }
-    }
+    // `xf.row(j)`. Every sweep below walks samples in ascending order,
+    // as a row-major loop would.
+    let mut xf = x.transpose();
 
     // Weighted standardization of features and centering of y.
     let mut means = vec![0.0; d];
@@ -169,17 +161,17 @@ fn soft_threshold(x: f64, lambda: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn design(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn design(n: usize) -> (Matrix, Vec<f64>) {
         // y = 3 x0 - 2 x1 + 0 * x2 + 1
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let a = (i as f64 * 0.713).sin();
-                let b = (i as f64 * 1.311).cos();
-                let c = (i as f64 * 0.237).sin() * (i as f64 * 0.119).cos();
-                vec![a, b, c]
-            })
-            .collect();
-        let y: Vec<f64> = x.iter().map(|r| 3.0 * r[0] - 2.0 * r[1] + 1.0).collect();
+        let x = Matrix::from_fn(n, 3, |i, j| {
+            let t = i as f64;
+            match j {
+                0 => (t * 0.713).sin(),
+                1 => (t * 1.311).cos(),
+                _ => (t * 0.237).sin() * (t * 0.119).cos(),
+            }
+        });
+        let y: Vec<f64> = x.iter_rows().map(|r| 3.0 * r[0] - 2.0 * r[1] + 1.0).collect();
         (x, y)
     }
 
@@ -217,9 +209,9 @@ mod tests {
     #[test]
     fn weights_focus_the_fit() {
         // Two regimes: y = x for the first half, y = -x for the second.
-        let x: Vec<Vec<f64>> = (0..100).map(|i| vec![(i as f64 * 0.17).sin()]).collect();
+        let x = Matrix::from_fn(100, 1, |i, _| (i as f64 * 0.17).sin());
         let y: Vec<f64> =
-            x.iter().enumerate().map(|(i, r)| if i < 50 { r[0] } else { -r[0] }).collect();
+            x.iter_rows().enumerate().map(|(i, r)| if i < 50 { r[0] } else { -r[0] }).collect();
         let w_first: Vec<f64> = (0..100).map(|i| if i < 50 { 1.0 } else { 0.001 }).collect();
         let fit = weighted_lasso(&x, &y, &w_first, 1e-4, 500, 1e-10);
         assert!(fit.coefficients[0] > 0.8, "weighted fit should follow the first regime");
@@ -230,7 +222,7 @@ mod tests {
         let (x, y) = design(60);
         let w = vec![1.0; 60];
         let fit = weighted_lasso(&x, &y, &w, 1e-6, 500, 1e-10);
-        for (r, &target) in x.iter().zip(&y) {
+        for (r, &target) in x.iter_rows().zip(&y) {
             assert!((fit.predict(r) - target).abs() < 0.05);
         }
     }
@@ -238,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty design")]
     fn empty_input_panics() {
-        let _ = weighted_lasso(&[], &[], &[], 0.1, 10, 1e-6);
+        let _ = weighted_lasso(&Matrix::zeros(0, 3), &[], &[], 0.1, 10, 1e-6);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::explanation::{Explanation, ImportanceTerm};
 use crate::lasso::weighted_lasso;
+use exathlon_linalg::Matrix;
 use exathlon_tsdata::TimeSeries;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,13 +51,20 @@ impl LimeExplainer {
         Self { config }
     }
 
-    /// Explain the model's outlier score on `window`. `score_fn` maps a
-    /// flattened window (record-major, `window.len() * window.dims()`
-    /// values) to the model's outlier score.
+    /// Explain the model's outlier score on `window`. `score_batch` maps
+    /// a matrix of flattened windows (one per row, record-major,
+    /// `window.len() * window.dims()` values) to the model's outlier
+    /// score of each row, in row order. It is called once per
+    /// explanation, on the instance and all its perturbations together.
     ///
     /// # Panics
-    /// Panics if the window is empty.
-    pub fn explain(&self, window: &TimeSeries, score_fn: &dyn Fn(&[f64]) -> f64) -> Explanation {
+    /// Panics if the window is empty or `score_batch` returns the wrong
+    /// number of scores.
+    pub fn explain(
+        &self,
+        window: &TimeSeries,
+        score_batch: &dyn Fn(&Matrix) -> Vec<f64>,
+    ) -> Explanation {
         let _sp = exathlon_linalg::obs::span("ed", "LIME.explain");
         assert!(!window.is_empty(), "empty LIME window");
         let cfg = &self.config;
@@ -80,20 +88,22 @@ impl LimeExplainer {
             }
         }
 
-        // Perturbation sampling.
+        // Perturbation matrix: row 0 is the instance, rows 1.. its
+        // perturbations, drawn row by row.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut samples: Vec<Vec<f64>> = Vec::with_capacity(cfg.n_samples + 1);
-        samples.push(x0.clone());
-        for _ in 0..cfg.n_samples {
-            let s: Vec<f64> =
-                x0.iter().zip(&scales).map(|(&v, &sc)| v + rng.gen_range(-1.5..1.5) * sc).collect();
-            samples.push(s);
+        let mut samples = Matrix::zeros(cfg.n_samples + 1, d);
+        samples.row_mut(0).copy_from_slice(&x0);
+        for i in 1..samples.rows() {
+            for ((s, &v), &sc) in samples.row_mut(i).iter_mut().zip(&x0).zip(&scales) {
+                *s = v + rng.gen_range(-1.5..1.5) * sc;
+            }
         }
 
         // Model responses and proximity-kernel weights.
-        let responses: Vec<f64> = samples.iter().map(|s| score_fn(s)).collect();
+        let responses = score_batch(&samples);
+        assert_eq!(responses.len(), samples.rows(), "one score per perturbation");
         let weights: Vec<f64> = samples
-            .iter()
+            .iter_rows()
             .map(|s| {
                 let d2: f64 = s
                     .iter()
@@ -150,13 +160,39 @@ mod tests {
         LimeExplainer::new(LimeConfig { n_samples: 200, ..LimeConfig::default() })
     }
 
+    /// A batch scorer applying `f` to each row.
+    fn per_row(f: impl Fn(&[f64]) -> f64) -> impl Fn(&Matrix) -> Vec<f64> {
+        move |x: &Matrix| x.iter_rows().map(&f).collect()
+    }
+
+    #[test]
+    fn scores_instance_and_perturbations_in_one_batch() {
+        let w = window(&[vec![1.0, f64::NAN], vec![2.0, 4.0]]);
+        let calls = std::cell::Cell::new(0);
+        let score = |x: &Matrix| {
+            calls.set(calls.get() + 1);
+            assert_eq!(x.shape(), (201, 4));
+            assert_eq!(x.row(0), &[1.0, 0.0, 2.0, 4.0], "row 0 is the NaN-imputed instance");
+            x.iter_rows().map(|r| r[0]).collect()
+        };
+        let _ = quick().explain(&w, &score);
+        assert_eq!(calls.get(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one score per perturbation")]
+    fn short_score_batch_panics() {
+        let w = window(&[vec![1.0, 2.0]]);
+        let _ = quick().explain(&w, &|_: &Matrix| vec![0.0]);
+    }
+
     #[test]
     fn identifies_the_influential_feature() {
         // Model score depends only on feature 0 of the last record.
         let w = window(&[vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]]);
         let m = w.dims();
         let score = move |flat: &[f64]| flat[2 * m] * 10.0; // feature 0 at t=2
-        let e = quick().explain(&w, &score);
+        let e = quick().explain(&w, &per_row(score));
         let feats = e.features();
         assert!(feats.contains(&0), "feature 0 must be found: {e}");
         if let Explanation::Importance(terms) = &e {
@@ -170,7 +206,7 @@ mod tests {
     fn reports_at_most_k_terms() {
         let w = window(&[vec![1.0; 8], vec![2.0; 8], vec![3.0; 8]]);
         let score = |flat: &[f64]| flat.iter().sum::<f64>();
-        let e = quick().explain(&w, &score);
+        let e = quick().explain(&w, &per_row(score));
         if let Explanation::Importance(terms) = &e {
             assert!(terms.len() <= 5);
         } else {
@@ -181,14 +217,14 @@ mod tests {
     #[test]
     fn not_predictive() {
         let w = window(&[vec![1.0]]);
-        let e = quick().explain(&w, &|f: &[f64]| f[0]);
+        let e = quick().explain(&w, &per_row(|f| f[0]));
         assert!(e.as_predictive().is_none());
     }
 
     #[test]
     fn constant_model_yields_no_features() {
         let w = window(&[vec![1.0, 2.0], vec![1.5, 2.5]]);
-        let e = quick().explain(&w, &|_: &[f64]| 7.0);
+        let e = quick().explain(&w, &per_row(|_| 7.0));
         assert_eq!(e.size(), 0);
     }
 
@@ -196,8 +232,8 @@ mod tests {
     fn deterministic_given_seed() {
         let w = window(&[vec![1.0, 2.0], vec![1.5, 2.5]]);
         let score = |flat: &[f64]| flat[0] * 2.0 - flat[3];
-        let a = quick().explain(&w, &score);
-        let b = quick().explain(&w, &score);
+        let a = quick().explain(&w, &per_row(score));
+        let b = quick().explain(&w, &per_row(score));
         assert_eq!(a, b);
     }
 
@@ -205,7 +241,7 @@ mod tests {
     fn negative_influence_reported_with_sign() {
         let w = window(&[vec![1.0, 5.0]]);
         let score = |flat: &[f64]| -3.0 * flat[1];
-        let e = quick().explain(&w, &score);
+        let e = quick().explain(&w, &per_row(score));
         if let Explanation::Importance(terms) = &e {
             let t = terms.iter().find(|t| t.feature == 1).expect("feature 1 found");
             assert!(t.weight < 0.0);
@@ -217,6 +253,6 @@ mod tests {
     #[should_panic(expected = "empty LIME window")]
     fn empty_window_panics() {
         let w = TimeSeries::empty(default_names(2));
-        let _ = quick().explain(&w, &|_: &[f64]| 0.0);
+        let _ = quick().explain(&w, &per_row(|_| 0.0));
     }
 }

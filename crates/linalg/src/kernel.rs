@@ -1032,6 +1032,12 @@ impl DistanceKernel {
         // transpose and norms from the decoded matrix replays exactly
         // what `fit` computed from the sanitized rows.
         let refs = r.get_matrix()?;
+        // Fitted references always have features. Rows of zero width cost
+        // no bytes, so a corrupt row count would otherwise pass the length
+        // check and leave a kernel whose norms disagree with its size.
+        if refs.cols() == 0 && refs.rows() > 0 {
+            return Err(crate::codec::CodecError::Corrupt("distance references without features"));
+        }
         let refs_t = refs.transpose();
         let norms = row_sq_norms(&refs);
         Ok(Self { refs, refs_t, norms })

@@ -9,12 +9,12 @@
 use exathlon::ad::ae_ad::{AeConfig, AutoencoderDetector};
 use exathlon::ad::AnomalyScorer;
 use exathlon::core::config::ExperimentConfig;
-use exathlon::core::edrun::collect_cases;
+use exathlon::core::edrun::{collect_cases, EdMethodKind, EdRunner};
 use exathlon::core::partition::partition;
 use exathlon::core::transform::FittedTransform;
 use exathlon::core::LearningSetting;
 use exathlon::ed::explanation::Explanation;
-use exathlon::ed::{ExstreamExplainer, LimeExplainer, MacroBaseExplainer};
+use exathlon::ed::{ExstreamExplainer, MacroBaseExplainer};
 use exathlon::sparksim::dataset::DatasetBuilder;
 use exathlon::sparksim::metrics::custom_feature_names;
 
@@ -46,6 +46,9 @@ fn main() {
     });
     ae.fit(&train.iter().collect::<Vec<_>>());
 
+    let lime_runner =
+        EdRunner { method: EdMethodKind::Lime, ae_model: Some(&ae), seed: config.seed };
+
     let cases = collect_cases(&tests, 10);
     println!("explaining {} anomalies\n", cases.len());
 
@@ -63,19 +66,10 @@ fn main() {
         let mb = MacroBaseExplainer::default().explain(&case.anomaly, &case.reference);
         println!("MacroBase: {}", with_names(&format!("{mb}")));
 
-        let w = ae.window_len().min(case.anomaly.len());
-        let window = case.anomaly.slice(0, w);
-        let lime = LimeExplainer::default().explain(&window, &|flat: &[f64]| {
-            // Pad short windows to the model's input size.
-            let mut padded = flat.to_vec();
-            let dims = case.anomaly.dims();
-            while padded.len() < ae.window_len() * dims {
-                let start = padded.len() - dims;
-                let last: Vec<f64> = padded[start..].to_vec();
-                padded.extend(last);
-            }
-            ae.window_score(&padded)
-        });
+        // LIME explains the AE's score on the model-sized window at the
+        // anomaly's start, padded once by repeating the last record when
+        // the anomaly is shorter; all perturbations score in one batch.
+        let lime = lime_runner.explain(&case.anomaly, &case.reference);
         match &lime {
             Explanation::Importance(terms) if !terms.is_empty() => {
                 println!("LIME     :");

@@ -7,11 +7,17 @@
 //! sequentially — `EXATHLON_THREADS` is process-global state, so it must
 //! never be mutated from concurrently running tests.
 
+use exathlon_ad::ae_ad::AutoencoderDetector;
+use exathlon_ad::AnomalyScorer;
 use exathlon_core::config::{AdMethod, ExperimentConfig};
+use exathlon_core::edrun::{collect_cases, evaluate_ed, EdEvaluation, EdMethodKind, EdRunner};
 use exathlon_core::evaluate::{evaluate_detection, DetectionOutcome, ScoredTest};
 use exathlon_core::experiment::{run_pipeline, PipelineRun};
-use exathlon_core::model::TrainingBudget;
+use exathlon_core::model::{ae_config_for, TrainingBudget};
 use exathlon_core::par::THREADS_ENV;
+use exathlon_core::partition::partition;
+use exathlon_core::transform::FittedTransform;
+use exathlon_core::LearningSetting;
 use exathlon_sparksim::dataset::DatasetBuilder;
 use exathlon_tsmetrics::presets::AdLevel;
 
@@ -172,4 +178,46 @@ fn nested_parallel_scoring_matches_isolated() {
     let nested_bits: Vec<Vec<u64>> =
         knn_nested.scored.iter().map(|t| t.scores.iter().map(|s| bits(*s)).collect()).collect();
     assert_eq!(isolated, nested_bits, "nested parallel scoring changed kNN scores");
+}
+
+/// LIME's `evaluate_ed` — cases fanned out over `par`, each scoring its
+/// perturbations in one batched AE forward whose GEMM may fan out too —
+/// is bitwise identical across thread counts. Six cases from three tiny
+/// datasets give uneven chunks at 4 threads.
+#[test]
+fn lime_evaluation_bitwise_identical_across_thread_counts() {
+    let config = ExperimentConfig::default();
+    let mut cases = Vec::new();
+    let mut train = Vec::new();
+    for seed in [7, 11, 31] {
+        let ds = DatasetBuilder::tiny(seed).build();
+        let parts = partition(&ds, LearningSetting::ls4(), config.peek_fraction);
+        let (transform, t) = FittedTransform::fit(&parts.train, &config);
+        let tests: Vec<_> = parts.test.iter().map(|s| transform.apply_test(s)).collect();
+        cases.extend(collect_cases(&tests, 10));
+        train = t;
+    }
+    assert!(cases.len() >= 5, "need more cases than lanes, got {}", cases.len());
+    let mut ae = AutoencoderDetector::new(ae_config_for(TrainingBudget::Quick, config.seed));
+    ae.fit(&train.iter().collect::<Vec<_>>());
+    let runner = EdRunner { method: EdMethodKind::Lime, ae_model: Some(&ae), seed: config.seed };
+
+    // Every figure of the block except the wall times.
+    let figures = |e: &EdEvaluation| {
+        let rows: Vec<_> = e
+            .per_type
+            .iter()
+            .chain([&e.average])
+            .map(|r| {
+                let stats = [r.conciseness, r.stability, r.concordance].map(bits);
+                (r.anomaly_type, r.n_cases, stats, r.precision.map(bits), r.recall.map(bits))
+            })
+            .collect();
+        (rows, e.examples.clone())
+    };
+    let reference = with_threads("1", || figures(&evaluate_ed(&runner, &cases)));
+    for threads in ["2", "4"] {
+        let other = with_threads(threads, || figures(&evaluate_ed(&runner, &cases)));
+        assert_eq!(reference, other, "LIME evaluation differs @ {threads} threads");
+    }
 }
