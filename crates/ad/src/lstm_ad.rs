@@ -125,14 +125,21 @@ impl AnomalyScorer for LstmDetector {
                 ((n - w) * w * ts.dims() * 8) as u64,
             );
         }
+        // The last record is only ever a target, so the windows come from
+        // the records before it: forecast row `t - w` predicts record `t`.
+        let forecasts =
+            (!materialized).then(|| model.predict_windows(ts.records_slice(0, n - 1), w));
         #[allow(clippy::needless_range_loop)] // t indexes both the series and scores
         for t in w..n {
-            let forecast = if materialized {
-                // Pre-dataplane path: clone the window records per step.
-                let seq: Vec<Vec<f64>> = (t - w..t).map(|i| ts.record(i).to_vec()).collect();
-                model.predict(&seq)
-            } else {
-                model.predict_flat(ts.records_slice(t - w, w))
+            let cloned;
+            let forecast: &[f64] = match &forecasts {
+                Some(forecasts) => forecasts.row(t - w),
+                None => {
+                    // Pre-dataplane path: clone the window records per step.
+                    let seq: Vec<Vec<f64>> = (t - w..t).map(|i| ts.record(i).to_vec()).collect();
+                    cloned = model.predict(&seq);
+                    &cloned
+                }
             };
             let actual = ts.record(t);
             // Relative forecast error: squared error normalized by the

@@ -35,9 +35,10 @@ pub struct ScoredTest {
 
 /// Run AD inference: score every transformed test trace.
 ///
-/// Traces are scored on the shared worker pool ([`crate::par`]); each
-/// trace is independent and results keep input order, so the output is
-/// identical to the sequential map for any `EXATHLON_THREADS`.
+/// Traces are scored on the shared worker pool ([`crate::par`]): each lane
+/// claims the next unscored trace, so a long trace holds up only its own
+/// lane. Each trace is independent and results keep input order, so the
+/// output is identical to the sequential map for any `EXATHLON_THREADS`.
 pub fn score_tests(model: &TrainedModel, tests: &[TransformedTest]) -> Vec<ScoredTest> {
     let _stage = crate::obs::stage("score");
     crate::obs::add_records("score", tests.iter().map(|t| t.series.len() as u64).sum());

@@ -218,7 +218,7 @@ impl Drop for SpanGuard {
 }
 
 /// Accumulates a worker's busy wall-clock into the `par.worker_busy_ns`
-/// counter on drop — the parallel layer wraps each chunk in one so the
+/// counter on drop — the parallel layer wraps each lane in one so the
 /// report can derive worker utilization. No-op when disabled.
 #[must_use = "busy time is recorded when the clock stops"]
 pub struct BusyClock(Option<Instant>);
@@ -386,7 +386,7 @@ fn json_escape(s: &str) -> String {
 }
 
 impl Report {
-    /// Worker utilization: busy time reported by `par_map` chunks divided
+    /// Worker utilization: busy time reported by `par_map` lanes divided
     /// by `workers x elapsed`. `None` when the parallel layer never ran
     /// or no wall-clock elapsed.
     pub fn worker_utilization(&self, workers: usize) -> Option<f64> {

@@ -1,17 +1,20 @@
 //! Shared parallel-execution layer for the Exathlon pipeline.
 //!
-//! A single primitive — order-preserving [`par_map`] over a slice —
-//! built on crossbeam scoped threads with contiguous chunk fan-out, the
-//! same shape as `exathlon-sparksim`'s dataset simulation. Every parallel
+//! A single primitive — order-preserving [`par_map_indexed`] over a slice,
+//! with [`par_map`] as its index-free wrapper — built on crossbeam scoped
+//! threads. Work is claimed dynamically: every lane (the calling thread
+//! plus the spawned workers) takes the next unclaimed index from one
+//! shared counter until none is left, so a slow item holds up only the
+//! lane that claimed it while the others drain the rest. Every parallel
 //! hot path of the pipeline (per-method training, per-trace scoring,
-//! per-record inference, the thresholding-rule grid) goes through it, so
-//! the guarantees live in one place:
+//! per-record inference, the thresholding-rule grid, dataset simulation)
+//! goes through it, so the guarantees live in one place:
 //!
-//! * **Determinism.** Chunks are contiguous index ranges joined in input
-//!   order, and each element is computed independently; the output is
-//!   bitwise identical to the sequential `items.iter().map(f).collect()`
-//!   for any thread count (asserted end-to-end by
-//!   `tests/parallel_determinism.rs`).
+//! * **Determinism.** Each element is computed independently by the same
+//!   function, and the caller puts every `(index, value)` result back at
+//!   its index, so the output is bitwise identical to the sequential
+//!   `items.iter().map(f).collect()` for any thread count and any claiming
+//!   order (asserted end-to-end by `tests/parallel_determinism.rs`).
 //! * **Bounded threads.** A global worker budget caps *transitive*
 //!   parallelism: when an outer `par_map` has claimed the budget (e.g.
 //!   per-method training), inner calls (e.g. per-record scoring inside a
@@ -89,59 +92,66 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let n = items.len();
-    let cap = max_threads();
-    crate::obs::counter("par.calls", 1);
-    if n <= 1 || cap <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let lease = WorkerLease(reserve_workers(n.min(cap) - 1, cap));
-    if lease.0 == 0 {
-        return items.iter().map(&f).collect();
-    }
-    crate::obs::counter("par.parallel_calls", 1);
-    crate::obs::counter("par.workers_spawned", lease.0 as u64);
-    let lanes = lease.0 + 1;
-    let chunk = n.div_ceil(lanes);
-    let result = crossbeam::scope(|scope| {
-        let f = &f;
-        let mut chunks = items.chunks(chunk);
-        let first = chunks.next().expect("non-empty input");
-        // Spawn the tail chunks, compute the head on this thread, then
-        // join in order — output order equals input order.
-        let handles: Vec<_> = chunks
-            .map(|c| {
-                scope.spawn(move |_| {
-                    let busy = crate::obs::BusyClock::start();
-                    let out = c.iter().map(f).collect::<Vec<U>>();
-                    busy.stop();
-                    out
-                })
-            })
-            .collect();
-        let busy = crate::obs::BusyClock::start();
-        let mut out: Vec<U> = Vec::with_capacity(n);
-        out.extend(first.iter().map(f));
-        busy.stop();
-        for handle in handles {
-            out.extend(handle.join().expect("par_map worker panicked"));
-        }
-        out
-    })
-    .expect("par_map scope failed");
-    drop(lease);
-    result
+    par_map_indexed(items, |_, item| f(item))
 }
 
 /// [`par_map`] with the element index: `f(i, &items[i])` in input order.
+/// Each lane claims the next index from a shared counter, keeps its
+/// results with their indices, and the caller places them back in input
+/// order once every lane has joined.
 pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
-    par_map(&indexed, |&(i, item)| f(i, item))
+    let n = items.len();
+    let cap = max_threads();
+    crate::obs::counter("par.calls", 1);
+    let sequential = || items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    if n <= 1 || cap <= 1 {
+        return sequential();
+    }
+    let lease = WorkerLease(reserve_workers(n.min(cap) - 1, cap));
+    if lease.0 == 0 {
+        return sequential();
+    }
+    crate::obs::counter("par.parallel_calls", 1);
+    crate::obs::counter("par.workers_spawned", lease.0 as u64);
+    // `Relaxed` suffices: the counter only hands out indices, and the
+    // results reach the caller through the joins, which synchronize.
+    let next = AtomicUsize::new(0);
+    let lane = || {
+        let busy = crate::obs::BusyClock::start();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            done.push((i, f(i, &items[i])));
+        }
+        busy.stop();
+        done
+    };
+    let result = crossbeam::scope(|scope| {
+        // Spawn the workers, run lane zero on this thread, then join.
+        let handles: Vec<_> = (0..lease.0).map(|_| scope.spawn(|_| lane())).collect();
+        let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
+        let mut place = |done: Vec<(usize, U)>| {
+            for (i, value) in done {
+                slots[i] = Some(value);
+            }
+        };
+        place(lane());
+        for handle in handles {
+            place(handle.join().expect("par_map worker panicked"));
+        }
+        slots.into_iter().map(|value| value.expect("every index is claimed once")).collect()
+    })
+    .expect("par_map scope failed");
+    drop(lease);
+    result
 }
 
 #[cfg(test)]
@@ -182,9 +192,13 @@ mod tests {
         assert_eq!(got, vec!["0:a", "1:b", "2:c"]);
     }
 
+    // The budget checks below read `ACTIVE_WORKERS` while still holding
+    // the env lock: once it is released, another test's `par_map` may
+    // hold workers legitimately.
+
     #[test]
     fn nested_calls_stay_within_budget() {
-        let peak = with_threads("4", || {
+        let (peak, live_after) = with_threads("4", || {
             let peak = AtomicUsize::new(0);
             let outer: Vec<usize> = (0..8).collect();
             par_map(&outer, |_| {
@@ -196,16 +210,16 @@ mod tests {
                 })
                 .len()
             });
-            peak.load(Ordering::Acquire)
+            (peak.load(Ordering::Acquire), ACTIVE_WORKERS.load(Ordering::Acquire))
         });
         assert!(peak <= 3, "claimed workers exceeded cap-1: {peak}");
-        assert_eq!(ACTIVE_WORKERS.load(Ordering::Acquire), 0, "budget leaked");
+        assert_eq!(live_after, 0, "budget leaked");
     }
 
     #[test]
     fn worker_panic_propagates_and_releases_budget() {
-        let result = with_threads("4", || {
-            std::panic::catch_unwind(|| {
+        let (result, live_after) = with_threads("4", || {
+            let result = std::panic::catch_unwind(|| {
                 let items: Vec<u32> = (0..100).collect();
                 par_map(&items, |&x| {
                     if x == 77 {
@@ -213,10 +227,58 @@ mod tests {
                     }
                     x
                 })
-            })
+            });
+            (result, ACTIVE_WORKERS.load(Ordering::Acquire))
         });
         assert!(result.is_err(), "panic should propagate");
-        assert_eq!(ACTIVE_WORKERS.load(Ordering::Acquire), 0, "budget leaked after panic");
+        assert_eq!(live_after, 0, "budget leaked after panic");
+    }
+
+    /// One 200 ms item among 63 trivial ones.
+    const SLOW: std::time::Duration = std::time::Duration::from_millis(200);
+
+    /// Map 64 items where item 0 sleeps for [`SLOW`] and item `panic_at`
+    /// (if any) panics; returns the output and the thread each item ran on.
+    fn skewed(panic_at: Option<usize>) -> (Vec<usize>, Vec<std::thread::ThreadId>) {
+        let items: Vec<usize> = (0..64).collect();
+        let ran_on = std::sync::Mutex::new(vec![None; items.len()]);
+        let out = par_map_indexed(&items, |i, &x| {
+            ran_on.lock().unwrap()[i] = Some(std::thread::current().id());
+            if i == 0 {
+                std::thread::sleep(SLOW);
+            }
+            if Some(i) == panic_at {
+                panic!("boom at {i}");
+            }
+            3 * x + i
+        });
+        let ran_on = ran_on.into_inner().unwrap().into_iter().map(Option::unwrap).collect();
+        (out, ran_on)
+    }
+
+    #[test]
+    fn skewed_items_keep_order_and_balance_lanes() {
+        let expected: Vec<usize> = (0..64).map(|x| 4 * x).collect();
+        for threads in ["2", "3", "8"] {
+            let (out, ran_on) = with_threads(threads, || skewed(None));
+            assert_eq!(out, expected, "threads={threads}");
+            // The lane stuck on the slow item claims nothing more: the
+            // others drain the 63 trivial items long before it frees.
+            let slow_lane = ran_on.iter().filter(|&&t| t == ran_on[0]).count();
+            assert!(slow_lane <= 3, "threads={threads}: slow lane ran {slow_lane} items");
+        }
+    }
+
+    #[test]
+    fn late_panic_after_a_slow_item_propagates_and_releases_budget() {
+        for threads in ["2", "3", "8"] {
+            let (panicked, live_after) = with_threads(threads, || {
+                let panicked = std::panic::catch_unwind(|| skewed(Some(63))).is_err();
+                (panicked, ACTIVE_WORKERS.load(Ordering::Acquire))
+            });
+            assert!(panicked, "threads={threads}: panic should propagate");
+            assert_eq!(live_after, 0, "threads={threads}: budget leaked");
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ const GATES: usize = 4;
 struct LstmWorkspace {
     /// Record-major input copy, `t x in_dim` (the input-side GEMM operand).
     x_mat: Matrix,
-    /// `Wxᵀ` scratch for [`kernel::matmul_transpose_into`].
+    /// `Wxᵀ`: scratch for [`kernel::matmul_transpose_into`] in training,
+    /// transposed once per series by [`Lstm::predict_windows`].
     wxt: Matrix,
     /// Input-side gate pre-activations `Wx·x_t`, `t x 4h`.
     wxx: Matrix,
@@ -195,17 +196,25 @@ impl Lstm {
     /// recurrent side), so every stored value is bitwise identical to the
     /// `StepCache` path — without per-step allocation once warm.
     fn forward_ws(&self, seq: &[f64], ws: &mut LstmWorkspace) -> usize {
-        let h_dim = self.hidden;
         let t_len = self.steps_of(seq);
-        ws.zero_h.clear();
-        ws.zero_h.resize(h_dim, 0.0);
         if t_len == 0 {
-            ws.wxx.reset(0, GATES * h_dim);
+            ws.wxx.reset(0, GATES * self.hidden);
         } else {
             ws.x_mat.reset(t_len, self.in_dim);
             ws.x_mat.as_mut_slice().copy_from_slice(seq);
             kernel::matmul_transpose_into(&ws.x_mat, &self.wx.value, &mut ws.wxt, &mut ws.wxx);
         }
+        self.recur_ws(0, t_len, ws);
+        t_len
+    }
+
+    /// The recurrence over `t_len` steps whose input projections are rows
+    /// `first..first + t_len` of `ws.wxx`, staged row-per-step in `ws`;
+    /// the prediction is left in `ws.y`.
+    fn recur_ws(&self, first: usize, t_len: usize, ws: &mut LstmWorkspace) {
+        let h_dim = self.hidden;
+        ws.zero_h.clear();
+        ws.zero_h.resize(h_dim, 0.0);
         ws.gates.reset(t_len, GATES * h_dim);
         ws.c.reset(t_len, h_dim);
         ws.tanh_c.reset(t_len, h_dim);
@@ -215,7 +224,7 @@ impl Lstm {
             let h_prev: &[f64] = if t == 0 { &ws.zero_h } else { ws.h.row(t - 1) };
             kernel::matvec_into(&self.wh.value, h_prev, &mut ws.zh);
             ws.z.clear();
-            ws.z.extend_from_slice(ws.wxx.row(t));
+            ws.z.extend_from_slice(ws.wxx.row(first + t));
             for (zi, (zhi, bi)) in ws.z.iter_mut().zip(ws.zh.iter().zip(self.b.value.as_slice())) {
                 *zi += zhi + bi;
             }
@@ -249,7 +258,6 @@ impl Lstm {
         for (yi, bi) in ws.y.iter_mut().zip(self.by.value.as_slice()) {
             *yi += bi;
         }
-        t_len
     }
 
     /// Naive forward pass: the historical `StepCache`-allocating path,
@@ -323,19 +331,56 @@ impl Lstm {
     }
 
     /// [`Lstm::predict`] on a flat record-major sequence buffer — e.g. a
-    /// zero-copy window view over a `TimeSeries`.
+    /// zero-copy window view over a `TimeSeries`. The one-window case of
+    /// [`Lstm::predict_windows`].
     ///
     /// # Panics
     /// Panics if `seq.len()` is not a multiple of the input dimension.
     pub fn predict_flat(&self, seq: &[f64]) -> Vec<f64> {
+        self.predict_windows(seq, self.steps_of(seq)).row(0).to_vec()
+    }
+
+    /// Forecast from every window of `w` consecutive records of a flat
+    /// record-major series: row `s` of the `(n - w + 1) x out` result is
+    /// [`Lstm::predict_flat`] on records `s..s + w`, bit for bit. One
+    /// workspace and one `Wxᵀ` transpose serve the whole series: each
+    /// block of [`kernel::ROW_BLOCK`] windows projects the records it
+    /// covers in one GEMM, and each window's recurrence reads its rows of
+    /// that projection. Blocking bounds the projection buffer whatever
+    /// the series length. A series shorter than `w` has no window.
+    ///
+    /// # Panics
+    /// Panics if `series.len()` is not a multiple of the input dimension.
+    pub fn predict_windows(&self, series: &[f64], w: usize) -> Matrix {
+        let d = self.in_dim;
+        let windows = (self.steps_of(series) + 1).saturating_sub(w);
+        let mut out = Matrix::zeros(windows, self.out_dim);
         if naive_elementwise_mode() {
-            return self.forward_sequence(seq).1;
+            for s in 0..windows {
+                let (_, y) = self.forward_sequence(&series[s * d..(s + w) * d]);
+                out.row_mut(s).copy_from_slice(&y);
+            }
+            return out;
         }
         // Inference takes `&self` (scoring fans out over shared
-        // references), so it stages through a fresh local workspace.
+        // references), so it stages through one local workspace.
         let mut ws = LstmWorkspace::default();
-        self.forward_ws(seq, &mut ws);
-        ws.y
+        self.wx.value.transpose_into(&mut ws.wxt);
+        for first in (0..windows).step_by(kernel::ROW_BLOCK) {
+            let block = kernel::ROW_BLOCK.min(windows - first);
+            let records = &series[first * d..(first + block + w - 1) * d];
+            ws.x_mat.reset(block + w - 1, d);
+            ws.x_mat.as_mut_slice().copy_from_slice(records);
+            // `x·(Wxᵀ)` is the product `matmul_transpose_into` forms, and
+            // the GEMM sums each cell in ascending `k` whatever its row
+            // count, so every row equals the window's own projection.
+            kernel::matmul_into(&ws.x_mat, &ws.wxt, &mut ws.wxx);
+            for s in 0..block {
+                self.recur_ws(s, w, &mut ws);
+                out.row_mut(first + s).copy_from_slice(&ws.y);
+            }
+        }
+        out
     }
 
     /// Accumulate gradients for one `(sequence, target)` pair; returns the
@@ -769,6 +814,30 @@ mod tests {
     fn wrong_flat_len_panics() {
         let lstm = Lstm::new(3, 4, 3, &mut rng());
         let _ = lstm.predict_flat(&[1.0, 2.0]);
+    }
+
+    #[test]
+    fn predict_windows_rows_match_per_window_forward_bitwise() {
+        use rand::Rng;
+        let mut r = rng();
+        let (d, n) = (8, 200);
+        let lstm = Lstm::new(d, 32, d, &mut r);
+        // `w = 1` and `w = 6` span several 64-window projection blocks,
+        // the last one ragged; `w = n` projects all 200 records in one
+        // GEMM (× 128 gates × 8 inputs), past its row-block fan-out
+        // threshold.
+        let series: Vec<f64> = (0..n * d).map(|_| r.gen_range(-2.0..2.0)).collect();
+        for w in [1, 6, n] {
+            let forecasts = lstm.predict_windows(&series, w);
+            assert_eq!(forecasts.shape(), (n - w + 1, d), "w={w}");
+            for s in 0..forecasts.rows() {
+                let (_, want) = lstm.forward_sequence(&series[s * d..(s + w) * d]);
+                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u64> = forecasts.row(s).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "w={w} window {s}");
+            }
+        }
+        assert_eq!(lstm.predict_windows(&series[..5 * d], 6).rows(), 0, "shorter than w");
     }
 
     #[test]

@@ -358,9 +358,10 @@ fn spread_events(
 /// Simulate a batch of specs on the shared worker pool
 /// (`exathlon_linalg::par`): trace generation draws from the same global
 /// worker budget as the rest of the pipeline and honours the
-/// `EXATHLON_THREADS` override. Chunks are contiguous and joined in spec
-/// order, so the output is bitwise identical to the sequential path
-/// (pinned by `tests/parallel_determinism.rs`).
+/// `EXATHLON_THREADS` override. Lanes claim one spec at a time, so a long
+/// disturbed trace does not hold up the specs queued behind it, and the
+/// traces come back in spec order: the output is bitwise identical to the
+/// sequential path (pinned by `tests/parallel_determinism.rs`).
 fn parallel_simulate(specs: &[SimSpec]) -> Vec<(Trace, Vec<GroundTruthEntry>)> {
     exathlon_linalg::par::par_map(specs, |spec| {
         let _sp = obs::span("simulate", "trace");

@@ -1,7 +1,9 @@
 //! Determinism suite for the parallel-execution layer: the pipeline must
 //! produce **bitwise identical** results for any `EXATHLON_THREADS`,
-//! because `par_map` fans out over contiguous, order-preserved chunks of
-//! independent work (see `exathlon_linalg::par`).
+//! because `par_map` lanes claim independent items one index at a time
+//! and the results are put back in input order (see
+//! `exathlon_linalg::par`), so neither the lane count nor which lane ran
+//! an item can change a value.
 //!
 //! All thread-count variation happens inside single test functions run
 //! sequentially — `EXATHLON_THREADS` is process-global state, so it must
@@ -40,11 +42,11 @@ fn with_threads<R>(threads: &str, body: impl FnOnce() -> R) -> R {
 /// record-parallel detectors (kNN / LOF / iForest) inside them.
 const METHODS: [AdMethod; 4] = [AdMethod::Knn, AdMethod::Lof, AdMethod::IForest, AdMethod::Mad];
 
-fn pipeline(threads: &str) -> PipelineRun {
+fn pipeline(threads: &str, methods: &[AdMethod]) -> PipelineRun {
     with_threads(threads, || {
         let ds = DatasetBuilder::tiny(11).build();
         let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };
-        run_pipeline(&ds, &config, &METHODS, TrainingBudget::Quick)
+        run_pipeline(&ds, &config, methods, TrainingBudget::Quick)
     })
 }
 
@@ -91,9 +93,9 @@ fn assert_outcomes_identical(
 /// separation AUPRC — is bitwise identical across thread counts.
 #[test]
 fn pipeline_bitwise_identical_across_thread_counts() {
-    let reference = pipeline(THREAD_COUNTS[0]);
+    let reference = pipeline(THREAD_COUNTS[0], &METHODS);
     for threads in &THREAD_COUNTS[1..] {
-        let other = pipeline(threads);
+        let other = pipeline(threads, &METHODS);
         for (method, ref_run) in &reference.methods {
             let other_run = other.method_run(*method);
             let context = format!("{method:?} @ {threads} threads");
@@ -106,11 +108,27 @@ fn pipeline_bitwise_identical_across_thread_counts() {
     }
 }
 
+/// The fan-out Table 4 runs: LSTM, AE and BiGAN train and score on
+/// whichever lane frees first, and each deep model's inner GEMMs fan out
+/// when the budget allows. Their scores are bitwise identical across
+/// thread counts.
+#[test]
+fn paper_methods_bitwise_identical_across_thread_counts() {
+    let reference = pipeline(THREAD_COUNTS[0], &AdMethod::PAPER_METHODS);
+    for threads in &THREAD_COUNTS[1..] {
+        let other = pipeline(threads, &AdMethod::PAPER_METHODS);
+        for (method, ref_run) in &reference.methods {
+            let context = format!("{method:?} @ {threads} threads");
+            assert_scored_identical(&ref_run.scored, &other.method_run(*method).scored, &context);
+        }
+    }
+}
+
 /// The 24-rule thresholding grid — the fourth parallel path — is bitwise
 /// identical across thread counts, at every AD level.
 #[test]
 fn detection_grid_bitwise_identical_across_thread_counts() {
-    let reference = pipeline(THREAD_COUNTS[0]);
+    let reference = pipeline(THREAD_COUNTS[0], &METHODS);
     let ref_run = reference.method_run(AdMethod::Knn);
     let levels = AdLevel::ALL;
     let baseline: Vec<Vec<DetectionOutcome>> = with_threads(THREAD_COUNTS[0], || {
@@ -169,11 +187,11 @@ fn dataset_build_bitwise_identical_across_thread_counts() {
 /// budget degrades gracefully, never changing values.
 #[test]
 fn nested_parallel_scoring_matches_isolated() {
-    let reference = pipeline("1");
+    let reference = pipeline("1", &METHODS);
     let (_, knn_run) = &reference.methods[0];
     let isolated: Vec<Vec<u64>> =
         knn_run.scored.iter().map(|t| t.scores.iter().map(|s| bits(*s)).collect()).collect();
-    let nested = pipeline("8");
+    let nested = pipeline("8", &METHODS);
     let (_, knn_nested) = &nested.methods[0];
     let nested_bits: Vec<Vec<u64>> =
         knn_nested.scored.iter().map(|t| t.scores.iter().map(|s| bits(*s)).collect()).collect();
@@ -183,7 +201,7 @@ fn nested_parallel_scoring_matches_isolated() {
 /// LIME's `evaluate_ed` — cases fanned out over `par`, each scoring its
 /// perturbations in one batched AE forward whose GEMM may fan out too —
 /// is bitwise identical across thread counts. Six cases from three tiny
-/// datasets give uneven chunks at 4 threads.
+/// datasets give more cases than lanes at 4 threads.
 #[test]
 fn lime_evaluation_bitwise_identical_across_thread_counts() {
     let config = ExperimentConfig::default();
